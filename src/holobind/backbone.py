@@ -21,29 +21,66 @@ from .vsa import bind, unbind
 
 # ------------------------------------------------------------ layer kernels
 
+def _wrap_pad(t: np.ndarray, top: int, left: int, kh: int, kw: int) -> np.ndarray:
+    """Extend ``t`` (..., H, W, C) circularly to (..., H + kh - 1, W + kw - 1, C).
+
+    Padded pixel (r, c) holds pixel ((r - top) % H, (c - left) % W), so the
+    padding wraps as often as needed when the kernel is larger than the image.
+    """
+    h, w = t.shape[-3], t.shape[-2]
+    rows = np.arange(-top, h + kh - 1 - top) % h
+    cols = np.arange(-left, w + kw - 1 - left) % w
+    pixels = t.reshape(t.shape[:-3] + (h * w, t.shape[-1]))
+    return pixels.take(rows[:, None] * w + cols, axis=-2)
+
+
 def circconv_forward(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Circular cross-correlation with a centered kernel.
 
     ``kernel`` has shape (KH, KW, Cin, Cout); ``x`` is (..., H, W, Cin) with
-    an optional leading batch axis. Stride 1, wrap-around padding.
+    an optional leading batch axis. Stride 1, wrap-around padding: output
+    (a, b) is the sum over taps (i, j) of
+    ``x[(a + i - KH//2) % H, (b + j - KW//2) % W] @ kernel[i, j]``.
+
+    The path follows from the channel counts alone:
+
+    - Cin < Cout: the KH*KW taps of the wrap-padded input are gathered side
+      by side once, then multiplied by the kernel as one
+      (KH*KW*Cin, Cout) matrix.
+    - Cin > Cout: one product with the taps stacked as a
+      (Cin, KH*KW*Cout) matrix, then the per-tap outputs are shifted into
+      place and summed.
+    - Cin == Cout: per-tap products on slices of the wrap-padded input,
+      accumulated in tap order (gathering the taps would copy the input
+      KH*KW times).
+
+    Either unequal path sums each output in another order than the tap by
+    tap loop, so results can differ from it in the last bits.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     kh, kw, cin, cout = kernel.shape
     if x.shape[-1] != cin:
         raise ShapeError(f"input channels {x.shape[-1]} != kernel cin {cin}")
-    ch, cw = kh // 2, kw // 2
+    h, w = x.shape[-3], x.shape[-2]
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    if cin > cout:
+        out = np.zeros(x.shape[:-1] + (cout,))
+        stacked = kernel.transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
+        per_tap = _wrap_pad(x @ stacked, kh // 2, kw // 2, kh, kw)
+        for t, (i, j) in enumerate(taps):
+            out += per_tap[..., i:i + h, j:j + w, t * cout:(t + 1) * cout]
+        return out
+    padded = _wrap_pad(x, kh // 2, kw // 2, kh, kw)
+    if cin < cout:
+        gathered = np.concatenate(
+            [padded[..., i:i + h, j:j + w, :] for i, j in taps], axis=-1)
+        return gathered @ kernel.reshape(kh * kw * cin, cout)
     out = np.zeros(x.shape[:-1] + (cout,))
-    # The spatial roll commutes with the channel matmul, so roll whichever
-    # side has fewer channels; each output is the same dot product.
-    roll_input = cin <= cout
-    for i in range(kh):
-        for j in range(kw):
-            shift = (ch - i, cw - j)
-            if roll_input:
-                out += np.roll(x, shift=shift, axis=(-3, -2)) @ kernel[i, j]
-            else:
-                out += np.roll(x @ kernel[i, j], shift=shift, axis=(-3, -2))
+    product = np.empty_like(out)
+    for i, j in taps:
+        np.matmul(padded[..., i:i + h, j:j + w, :], kernel[i, j], out=product)
+        out += product
     return out
 
 
@@ -51,20 +88,26 @@ def circconv_backward(kernel: np.ndarray, x: np.ndarray, grad_out: np.ndarray):
     """Gradients of circconv_forward w.r.t. kernel and input.
 
     Returns (grad_kernel, grad_input); shapes mirror the forward arguments.
+    The input gradient correlates ``grad_out`` with the flipped kernel, so
+    ``grad_out`` is padded the other way round.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     kh, kw, cin, cout = kernel.shape
+    h, w = x.shape[-3], x.shape[-2]
     ch, cw = kh // 2, kw // 2
+    x_pad = _wrap_pad(x, ch, cw, kh, kw)
+    g_pad = _wrap_pad(grad_out, kh - 1 - ch, kw - 1 - cw, kh, kw)
+    g_flat = grad_out.reshape(-1, cout)
     grad_kernel = np.zeros_like(kernel)
     grad_input = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
-            x_shift = np.roll(x, shift=(ch - i, cw - j), axis=(-3, -2))
-            grad_kernel[i, j] = x_shift.reshape(-1, cin).T @ grad_out.reshape(-1, cout)
-            g_shift = np.roll(grad_out, shift=(i - ch, j - cw), axis=(-3, -2))
-            grad_input += g_shift @ kernel[i, j].T
+            x_tap = x_pad[..., i:i + h, j:j + w, :]
+            grad_kernel[i, j] = x_tap.reshape(-1, cin).T @ g_flat
+            gi, gj = kh - 1 - i, kw - 1 - j
+            grad_input += g_pad[..., gi:gi + h, gj:gj + w, :] @ kernel[i, j].T
     return grad_kernel, grad_input
 
 

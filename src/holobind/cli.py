@@ -208,8 +208,8 @@ def _cmd_attack(args):
                                           n_classes=k)
     elif args.kind == "invert":
         reference = attacks.build_reference(data.train_images, p=16)
-        bound, _, _, _ = trainer.worker_views(model, data.test_images[:48],
-                                              RngStream(seed, counter=9 << 32))
+        bound, _, _ = trainer.bound_views(model.input_dims, data.test_images[:48],
+                                          RngStream(seed, counter=9 << 32))
         result = attacks.inversion_attack(bound, reference, steps=args.steps,
                                           lr=0.05, rng=RngStream(seed),
                                           x_true=data.test_images[0])
@@ -217,7 +217,7 @@ def _cmd_attack(args):
     elif args.kind == "regress":
         rng = RngStream(seed, counter=9 << 32)
         images = np.concatenate([data.train_images, data.train_images, data.test_images])
-        bound, _, secrets, _ = trainer.worker_views(model, images, rng)
+        bound, secrets, _ = trainer.bound_views(model.input_dims, images, rng)
         pairs = list(zip(bound, secrets))
         report = attacks.secret_regression_attack(pairs, n_holdout=16, seed=seed)
     else:  # pragma: no cover - argparse restricts choices
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     try:
         return args.func(args)
-    except HolobindError as err:
+    except (HolobindError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,7 @@ from .errors import (
     ParameterError,
     ProtocolError,
     RemoteFailureError,
+    SpecError,
     TransportError,
 )
 from .tensor import RngStream, container_size, tensor_from_bytes, tensor_to_bytes
@@ -257,6 +258,11 @@ class WorkerServer:
 
     def __init__(self, applier, host: str = "127.0.0.1", port: int = 0):
         if isinstance(applier, BackboneSpec):
+            # the client unbinds the reply with the secret it bound the
+            # request with, which needs the input's shape back
+            if not applier.shape_preserving:
+                raise SpecError(f"cannot serve a spec that maps {applier.input_dims} "
+                                f"to {applier.output_dims}; the shape must be preserved")
             applier = applier.apply
         self._applier = applier
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

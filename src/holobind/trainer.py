@@ -530,6 +530,19 @@ def backbone_applier(model: ToyModel):
     return applier
 
 
+def bound_views(dims, images: np.ndarray, rng: RngStream):
+    """The bound inputs a worker would receive for a batch, and the secrets.
+
+    Returns (bound_inputs, secrets, successor_rng) and draws from ``rng``
+    exactly as ``worker_views`` does, without running the backbone; audits
+    that read only the bound tensors use this.
+    """
+    spectra, rng = draw_secret_spectra(images.shape[0], dims, rng)
+    bound = batch_bind(images, spectra)
+    secrets = _breal(spectra)  # spatial tensor whose spectrum is `spectra`
+    return bound, secrets, rng
+
+
 def worker_views(model: ToyModel, images: np.ndarray, rng: RngStream):
     """Everything the worker sees for a batch, plus the secrets used.
 
@@ -537,8 +550,6 @@ def worker_views(model: ToyModel, images: np.ndarray, rng: RngStream):
     secrets are the spatial tensors, handed out only so audits can build
     planted oracles and regression targets.
     """
-    spectra, rng = draw_secret_spectra(images.shape[0], model.input_dims, rng)
-    bound = batch_bind(images, spectra)
+    bound, secrets, rng = bound_views(model.input_dims, images, rng)
     r, _ = _backbone_forward(model.params, bound)
-    secrets = _breal(spectra)  # spatial tensor whose spectrum is `spectra`
     return bound, r, secrets, rng

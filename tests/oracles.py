@@ -101,6 +101,47 @@ def direct_circ_crosscorr2d(x, kernel):
     return out
 
 
+def roll_circconv_forward(kernel, x):
+    """Tap-by-tap circular cross-correlation built from ``np.roll``.
+
+    The backbone's earlier kernel, kept as the reference for the roll-free
+    one: for each tap it rolls whichever side of the channel matmul has
+    fewer channels and accumulates the products in tap order.
+    """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    kh, kw, cin, cout = kernel.shape
+    ch, cw = kh // 2, kw // 2
+    out = np.zeros(x.shape[:-1] + (cout,))
+    roll_input = cin <= cout
+    for i in range(kh):
+        for j in range(kw):
+            shift = (ch - i, cw - j)
+            if roll_input:
+                out += np.roll(x, shift=shift, axis=(-3, -2)) @ kernel[i, j]
+            else:
+                out += np.roll(x @ kernel[i, j], shift=shift, axis=(-3, -2))
+    return out
+
+
+def roll_circconv_backward(kernel, x, grad_out):
+    """Kernel and input gradients of ``roll_circconv_forward``, tap by tap."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    kh, kw, cin, cout = kernel.shape
+    ch, cw = kh // 2, kw // 2
+    grad_kernel = np.zeros_like(kernel)
+    grad_input = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            x_shift = np.roll(x, shift=(ch - i, cw - j), axis=(-3, -2))
+            grad_kernel[i, j] = x_shift.reshape(-1, cin).T @ grad_out.reshape(-1, cout)
+            g_shift = np.roll(grad_out, shift=(i - ch, j - cw), axis=(-3, -2))
+            grad_input += g_shift @ kernel[i, j].T
+    return grad_kernel, grad_input
+
+
 def central_difference(f, x, eps=1e-5):
     """Central finite-difference gradient of scalar f at flat array x."""
     x = np.asarray(x, dtype=np.float64)

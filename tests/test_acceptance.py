@@ -48,6 +48,7 @@ from holobind.tensor import RngStream, tensor_to_bytes
 from holobind.trainer import (
     _head_forward,
     backbone_applier,
+    bound_views,
     evaluate,
     linear_adversary_demo,
     reverse_grad_backward,
@@ -327,8 +328,8 @@ def test_criterion_10_inversion_attacks(dataset, trained):
     reference = build_reference(dataset.train_images[..., 0], p=16)
     inv_fail = 0
     for i in range(50):
-        bound, _, _, _ = worker_views(model, dataset.test_images[:48],
-                                      RngStream(1000 + i, counter=1))
+        bound, _, _ = bound_views(model.input_dims, dataset.test_images[:48],
+                                  RngStream(1000 + i, counter=1))
         result = inversion_attack(bound[..., 0] if bound.ndim == 4 else bound,
                                   reference, steps=500, lr=0.05,
                                   rng=RngStream(2000 + i),
@@ -343,7 +344,7 @@ def test_criterion_10_inversion_attacks(dataset, trained):
         rng = RngStream(3000 + i, counter=1)
         images = np.concatenate([dataset.train_images, dataset.train_images,
                                  dataset.test_images[:16]])
-        bound, _, secrets, _ = worker_views(model, images, rng)
+        bound, secrets, _ = bound_views(model.input_dims, images, rng)
         pairs = list(zip(bound, secrets))
         report = secret_regression_attack(pairs, n_holdout=16, seed=3000 + i)
         reg_fail += abs(report.params["mean_cosine"]) <= 0.15

@@ -27,13 +27,49 @@ from holobind.errors import ShapeError, SpecError
 from holobind.tensor import RngStream
 from holobind.vsa import sample_secret
 
-from oracles import central_difference_at, direct_circ_crosscorr2d
+from oracles import (
+    central_difference_at,
+    direct_circ_crosscorr2d,
+    roll_circconv_backward,
+    roll_circconv_forward,
+)
 
 
 def _delta_kernel(kh=3, kw=3):
     k = np.zeros((kh, kw, 1, 1))
     k[kh // 2, kw // 2, 0, 0] = 1.0
     return k
+
+
+# Every kernel path (cin < cout, cin > cout, cin == cout) over several kernel
+# shapes, unbatched and batched. The 2 x 3 and 1 x 2 images are smaller than
+# the 5 x 5 kernel; on the 1 x 2 image its half-width exceeds the image, so
+# the padding wraps more than once.
+CHANNELS = [(1, 3), (3, 1), (2, 2)]
+KERNELS = [(1, 1), (2, 3), (3, 3), (5, 5)]
+IMAGES = [(6, 5), (2, 3), (1, 2)]
+
+
+def _grid(cin, cout, seed):
+    g = np.random.default_rng(seed)
+    for kh, kw in KERNELS:
+        for image in IMAGES:
+            for lead in ((), (2,)):
+                x = g.normal(size=lead + image + (cin,))
+                kernel = g.normal(size=(kh, kw, cin, cout))
+                up = g.normal(size=lead + image + (cout,))
+                yield x, kernel, up
+
+
+def _oracle_forward(kernel, x):
+    """Modular-index oracle summed over input channels, per batch element."""
+    if x.ndim == 4:
+        return np.stack([_oracle_forward(kernel, xn) for xn in x])
+    cin, cout = kernel.shape[2:]
+    return np.stack([
+        sum(direct_circ_crosscorr2d(x[..., c], kernel[:, :, c, o]) for c in range(cin))
+        for o in range(cout)
+    ], axis=-1)
 
 
 # ------------------------------------------------------------------- forward
@@ -51,12 +87,37 @@ def test_delta_kernel_is_identity():
 
 
 def test_circconv_matches_modular_index_oracle():
-    g = np.random.default_rng(2)
-    x = g.normal(size=(8, 8, 1))
-    kernel = g.normal(size=(3, 3, 1, 1))
-    out = circconv_forward(kernel, x)
-    expected = direct_circ_crosscorr2d(x[..., 0], kernel[..., 0, 0])
-    assert np.max(np.abs(out[..., 0] - expected)) <= 1e-9
+    for cin, cout in CHANNELS:
+        for x, kernel, _ in _grid(cin, cout, seed=2):
+            out = circconv_forward(kernel, x)
+            assert out.shape == x.shape[:-1] + (cout,)
+            assert np.max(np.abs(out - _oracle_forward(kernel, x))) <= 1e-9
+
+
+@pytest.mark.parametrize("cin,cout", CHANNELS + [(1, 16), (16, 16), (16, 1)])
+def test_circconv_matches_roll_reference(cin, cout):
+    # cin == cout accumulates the same products in the same order as the
+    # roll kernel; the unequal paths reorder each output's sum of
+    # n = kh * kw * cin products, so each side is within gamma_n of the
+    # exact sum (Higham, "Accuracy and Stability of Numerical Algorithms",
+    # 3.1) and they differ by at most 2 gamma_n (|kernel| * |x|).
+    eps = np.finfo(np.float64).eps
+    cases = list(_grid(cin, cout, seed=12))
+    g = np.random.default_rng(13)
+    x = g.normal(size=(4, 16, 16, cin))  # the toy backbone's layer shapes
+    cases.append((x, g.normal(size=(3, 3, cin, cout)), g.normal(size=(4, 16, 16, cout))))
+    for x, kernel, up in cases:
+        out = circconv_forward(kernel, x)
+        expected = roll_circconv_forward(kernel, x)
+        if cin == cout:
+            assert np.array_equal(out, expected)
+        else:
+            n = kernel.shape[0] * kernel.shape[1] * cin
+            bound = 2 * n * eps / (1 - n * eps) * roll_circconv_forward(np.abs(kernel), np.abs(x))
+            assert np.all(np.abs(out - expected) <= bound)
+        grads = circconv_backward(kernel, x, up)
+        for got, want in zip(grads, roll_circconv_backward(kernel, x, up)):
+            assert np.array_equal(got, want)
 
 
 def test_circconv_multichannel_matches_per_channel_sum():
@@ -104,18 +165,16 @@ def test_1x1_kernel_gradient_is_input_weighted_sum():
     assert np.allclose(grad_in, 0.7 * up, atol=1e-12)
 
 
-@pytest.mark.parametrize("cin,cout", [(1, 3), (3, 1), (2, 2)])
+@pytest.mark.parametrize("cin,cout", CHANNELS)
 def test_circconv_backward_is_the_adjoint(cin, cout):
     # the forward map is linear in x and in the kernel, so both gradients
     # of <forward(k, x), up> must satisfy the adjoint identity exactly
-    g = np.random.default_rng(8)
-    x = g.normal(size=(2, 6, 5, cin))
-    kernel = g.normal(size=(3, 3, cin, cout))
-    up = g.normal(size=(2, 6, 5, cout))
-    grad_k, grad_in = circconv_backward(kernel, x, up)
-    inner = np.sum(circconv_forward(kernel, x) * up)
-    assert np.sum(x * grad_in) == pytest.approx(inner, abs=1e-10)
-    assert np.sum(kernel * grad_k) == pytest.approx(inner, abs=1e-10)
+    for x, kernel, up in _grid(cin, cout, seed=8):
+        grad_k, grad_in = circconv_backward(kernel, x, up)
+        assert grad_k.shape == kernel.shape and grad_in.shape == x.shape
+        inner = np.sum(circconv_forward(kernel, x) * up)
+        assert np.sum(x * grad_in) == pytest.approx(inner, abs=1e-10)
+        assert np.sum(kernel * grad_k) == pytest.approx(inner, abs=1e-10)
 
 
 def test_circconv_gradients_match_finite_differences():

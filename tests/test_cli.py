@@ -1,10 +1,15 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holobind
 from holobind.cli import main
 from holobind.tensor import read_tensor, write_tensor
 from holobind.trainer import init_toy_model, save_model
@@ -104,6 +109,28 @@ def test_missing_file_domain_error(tmp_path):
     bad.write_bytes(b"not a tensor")
     assert main(["unbind", "--in", str(bad), "--secret", str(bad),
                  "--out", str(tmp_path / "o.hbt")]) == 1
+
+
+@pytest.mark.parametrize("option", ["--in", "--secret", "--spec", "--model"])
+def test_missing_input_file_exits_1(tmp_path, capsys, option):
+    x_path = tmp_path / "x.hbt"
+    write_tensor(np.ones((16, 16, 1)), x_path)
+    model_path = tmp_path / "toy.model"
+    save_model(init_toy_model(6), model_path)
+    missing = str(tmp_path / "missing.file")
+    argv = {
+        "--in": ["query", "--in", missing, "--endpoint", "127.0.0.1:9",
+                 "--model", str(model_path)],
+        "--secret": ["bind", "--in", str(x_path), "--secret", missing,
+                     "--out", str(tmp_path / "b.hbt")],
+        "--spec": ["serve", "--spec", missing, "--listen", "127.0.0.1:0"],
+        "--model": ["query", "--in", str(x_path), "--endpoint", "127.0.0.1:9",
+                    "--model", missing],
+    }[option]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing.file" in err
 
 
 # ----------------------------------------------------------------- csv verbs
@@ -226,3 +253,18 @@ def test_query_connect_failure_is_domain_error(tmp_path):
     write_tensor(np.ones((16, 16, 1)), x_path)
     assert main(["query", "--in", str(x_path), "--endpoint", "127.0.0.1:9",
                  "--k", "1", "--model", str(model_path)]) == 1
+
+
+def test_serve_refuses_shape_changing_spec(tmp_path):
+    # the worker must refuse before it listens; serving would block forever
+    spec_path = tmp_path / "dense.spec"
+    spec_path.write_text("input 4 4 1\ndense 10 16 3\n")
+    src = str(Path(holobind.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "holobind.cli", "serve", "--spec", str(spec_path),
+         "--listen", "127.0.0.1:0"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "(10,)" in proc.stderr

@@ -14,6 +14,7 @@ from holobind.trainer import (
     backward_batch,
     batch_bind,
     batch_unbind,
+    bound_views,
     cross_entropy,
     draw_secret_spectra,
     evaluate,
@@ -27,6 +28,7 @@ from holobind.trainer import (
     softmax,
     synth_dataset,
     train_toy_model,
+    worker_views,
 )
 
 from oracles import central_difference_at
@@ -296,3 +298,13 @@ def test_model_file_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def test_bound_views_match_worker_views():
+    model = init_toy_model(3)
+    images = synth_dataset(4, n_train=8, n_test=4).train_images
+    bound, secrets, rng = bound_views(model.input_dims, images, RngStream(5, counter=9 << 32))
+    w_bound, _, w_secrets, w_rng = worker_views(model, images, RngStream(5, counter=9 << 32))
+    assert np.array_equal(bound, w_bound)
+    assert np.array_equal(secrets, w_secrets)
+    assert np.array_equal(rng.normal((4,))[0], w_rng.normal((4,))[0])
