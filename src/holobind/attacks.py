@@ -93,7 +93,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 # -------------------------------------------------------------------- kmeans
 
 def kmeans(points, k: int, rng: RngStream, max_iter: int = 100, tol: float = 1e-6,
-           return_history: bool = False):
+           return_history: bool = False):  # perfbench wraps this
     """Lloyd iterations from k-means++ seeding; deterministic given rng.
 
     Empty clusters are re-seeded from the point farthest from its center.
@@ -195,7 +195,7 @@ def clustering_attack(outputs, true_labels, k: int, rng: RngStream,
 # ----------------------------------------------------------- strong adversary
 
 def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32, lr=1e-3):
-    """Train a head with the adversarial architecture from scratch."""
+    """Train a head with the adversarial architecture from scratch; perfbench wraps it."""
     from .backbone import leaky_relu_backward, leaky_relu_forward
     from .trainer import softmax
 
@@ -330,7 +330,7 @@ def _frechet_score_and_mean_grad(z: np.ndarray, ref: GaussianStats):
 
 def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
                      rng: RngStream, x_true=None, s_init: Secret | None = None,
-                     validate_gradient: bool = True,
+                     validate_gradient: bool = True,  # perfbench wraps this
                      recovery_threshold: float = 0.2) -> InversionResult:
     """Projected gradient descent on a candidate secret's spectrum.
 
@@ -399,7 +399,7 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
 
 
 def _validate_inversion_gradient(score_and_grad, psi, rng, eps=1e-6, tol=1e-3):
-    """FD-check the analytic gradient in the real filter domain."""
+    """FD-check the analytic gradient in the real filter domain; perfbench wraps it."""
     h, w = psi.shape
     filt = np.fft.ifft2(psi).real
     _, grad_psi = score_and_grad(np.fft.fft2(filt))

@@ -27,7 +27,8 @@ from .errors import (
     TransportError,
 )
 from .tensor import RngStream, container_size, tensor_from_bytes, tensor_to_bytes
-from .vsa import bind, sample_secret, unbind
+from .vsa import from_spectrum, sample_secret_spectra, spectrum
+from .vsa import bind, sample_secret, unbind  # unused here; perfbench wraps them
 
 log = logging.getLogger("holobind.protocol")
 
@@ -86,7 +87,7 @@ def _parse_envelope(data: bytes, magic: bytes) -> tuple[int, int]:
     return request_id, status
 
 
-def encode_request(req: BoundRequest) -> bytes:
+def encode_request(req: BoundRequest) -> bytes:  # perfbench wraps this
     return _envelope(REQUEST_MAGIC, req.request_id, STATUS_OK) + \
         tensor_to_bytes(req.payload, "f32")
 
@@ -110,7 +111,7 @@ def encode_response(resp: BoundResponse) -> bytes:
     return head
 
 
-def decode_response(data: bytes) -> BoundResponse:
+def decode_response(data: bytes) -> BoundResponse:  # perfbench wraps this
     request_id, status = _parse_envelope(data, RESPONSE_MAGIC)
     if status not in _KNOWN_STATUS:
         raise ProtocolError(f"unknown status {status}", offset=14)
@@ -342,39 +343,38 @@ def worker_serve(applier, host: str = "127.0.0.1", port: int = 9741) -> None:
 def client_infer(x: np.ndarray, plan: QueryPlan, model) -> np.ndarray:
     """Run k replicates of the one-round exchange and average the softmax.
 
-    Every replicate gets a fresh secret that is bound into the payload,
-    used once to unbind the response, then erased. Returns the mean class
-    distribution.
+    Each replicate's fresh secret, kept only as a unit spectrum and zeroed on
+    every exit, binds one request and unbinds its reply. Bind, unbind and the
+    head each run once on all k; the k requests go one at a time.
     """
     from .trainer import _head_forward  # heads live with the trainer
 
     x = np.asarray(x, dtype=np.float64)
-    dims = x.shape
-    rng = plan.rng
-    base_ids, rng = rng.integers(1, 2 ** 32, 1)
-    distributions = []
-    for i in range(plan.k):
-        secret, rng = sample_secret(dims, rng)
-        request_id = int(base_ids[0]) + i
-        payload = bind(x, secret)
-        reply = plan.transport.request(encode_request(BoundRequest(request_id, payload)))
-        response = decode_response(reply)
-        if response.request_id != request_id:
-            raise ProtocolError(
-                f"response id {response.request_id} does not echo request {request_id}"
-            )
-        if response.status != STATUS_OK:
-            raise RemoteFailureError("worker reported failure", response.status)
-        if response.payload.shape != dims:
-            raise ProtocolError(
-                f"response dims {response.payload.shape} != input dims {dims}"
-            )
-        retrieved = unbind(response.payload, secret)
-        secret.erase()
-        probs, _ = _head_forward(model.params, "p", retrieved.reshape(1, -1))
-        distributions.append(probs[0])
+    dims, rank, k = x.shape, x.ndim, plan.k
+    base_ids, rng = plan.rng.integers(1, 2 ** 32, 1)
+    spectra, rng = sample_secret_spectra(dims, k, rng)
+    try:
+        payloads = from_spectrum(spectrum(x) * spectra, rank)
+        replies = np.empty_like(payloads)
+        for i in range(k):
+            request_id = int(base_ids[0]) + i
+            reply = plan.transport.request(encode_request(BoundRequest(request_id, payloads[i])))
+            response = decode_response(reply)
+            if response.request_id != request_id:
+                raise ProtocolError(f"response id {response.request_id} does not echo "
+                                    f"request {request_id}")
+            if response.status != STATUS_OK:
+                raise RemoteFailureError("worker reported failure", response.status)
+            if response.payload.shape != dims:
+                raise ProtocolError(f"response dims {response.payload.shape} != input dims {dims}")
+            replies[i] = response.payload
+        np.conjugate(spectra, out=spectra)  # the inverse of a unit spectrum, in place
+        retrieved = from_spectrum(spectrum(replies, rank) * spectra, rank)
+    finally:
+        spectra.fill(0.0)
+    probs, _ = _head_forward(model.params, "p", retrieved.reshape(k, -1))
     plan.rng = rng
-    return np.mean(distributions, axis=0)
+    return np.mean(probs, axis=0)
 
 
 # ------------------------------------------------------------ cost accounting
@@ -383,19 +383,15 @@ def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4,
                 hidden: int = 64) -> FlopReport:
     """Remote/local multiply-add split and traffic for k replicates.
 
-    Remote is k backbone passes; local is k times (bind + unbind transform
-    cost + the prediction head). Bias adds and pointwise ops are excluded
-    by the documented counting convention.
+    Remote is k backbone passes. Local is one transform of x, then per replicate
+    four transforms of every channel (secret, payload, reply, unbound reply) and
+    the head; bias adds and pointwise ops are not counted.
     """
     dims = tuple(dims)
-    flat = int(np.prod(dims))
-    head_flops = hidden * flat + n_classes * hidden
+    head_flops = hidden * int(np.prod(dims)) + n_classes * hidden
     remote = k * count_flops(spec)
-    local = k * (2 * transform_cost(dims) + head_flops)
+    one_transform = transform_cost(dims) // 3  # transform_cost counts three
+    local = (1 + 4 * k) * one_transform + k * head_flops
     message = request_size(dims)
-    return FlopReport(
-        remote_flops=remote,
-        local_flops=local,
-        bytes_up=k * message,
-        bytes_down=k * message,
-    )
+    return FlopReport(remote_flops=remote, local_flops=local,
+                      bytes_up=k * message, bytes_down=k * message)

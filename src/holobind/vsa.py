@@ -3,13 +3,14 @@
 Binding is circular convolution computed as pointwise spectral
 multiplication; 1D tensors use the 1D transform, 2D the 2D transform, and
 3D (H×W×D, channel-last) tensors bind each channel independently with its
-own 2D transform. A projected secret has unit spectral magnitude at every
-frequency, which makes unbinding exact rather than approximate.
+own 2D transform; axes in front of an item are batch axes. A projected
+secret has unit spectral magnitude at every frequency, which makes
+unbinding exact rather than approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,28 +30,38 @@ EPS_PROJ = 1e-12
 _SAMPLE_RETRIES = 3
 
 
-def spectrum(t: np.ndarray) -> np.ndarray:
-    """Forward transform matching the tensor's rank (per-channel for 3D)."""
+_AXES = {1: (-1,), 2: (-2, -1), 3: (-3, -2)}  # an item's transform axes by its rank
+
+
+def _axes(ndim: int, rank: int | None) -> tuple:
+    rank = ndim if rank is None else rank
+    if rank not in _AXES or ndim < rank:
+        raise ShapeError(f"binding algebra supports 1D-3D items, got {rank}D in {ndim}D")
+    return _AXES[rank]
+
+
+def spectrum(t: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """Forward transform of every rank-``rank`` item (default: the whole tensor)."""
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 1:
-        return np.fft.fft(t)
-    if t.ndim == 2:
-        return np.fft.fft2(t)
-    if t.ndim == 3:
-        return np.fft.fft2(t, axes=(0, 1))
-    raise ShapeError(f"binding algebra supports 1D-3D tensors, got {t.ndim}D")
+    return np.fft.fftn(t, axes=_axes(t.ndim, rank))
 
 
-def from_spectrum(s: np.ndarray) -> np.ndarray:
+def from_spectrum(s: np.ndarray, rank: int | None = None) -> np.ndarray:
     """Inverse of :func:`spectrum`; discards the tiny imaginary residue."""
     s = np.asarray(s, dtype=np.complex128)
-    if s.ndim == 1:
-        return np.fft.ifft(s).real.copy()
-    if s.ndim == 2:
-        return np.fft.ifft2(s).real.copy()
-    if s.ndim == 3:
-        return np.fft.ifft2(s, axes=(0, 1)).real.copy()
-    raise ShapeError(f"binding algebra supports 1D-3D spectra, got {s.ndim}D")
+    return np.fft.ifftn(s, axes=_axes(s.ndim, rank)).real.copy()
+
+
+def _magnitudes(spec: np.ndarray, error, consequence: str) -> np.ndarray:
+    mags = np.abs(spec)
+    if np.min(mags) < EPS_PROJ:
+        raise error(f"spectral magnitude {np.min(mags):.3e} below {EPS_PROJ:.0e}; {consequence}")
+    return mags
+
+
+def unit_spectrum(spec: np.ndarray) -> np.ndarray:
+    """Unit-magnitude projection: each coefficient over its magnitude, none below EPS_PROJ."""
+    return spec / _magnitudes(spec, DegenerateSpectrumError, "cannot project to unit magnitude")
 
 
 @dataclass(frozen=True)
@@ -62,10 +73,6 @@ class Secret:
     counter: int = 0
     projected: bool = False
 
-    @property
-    def dims(self):
-        return self.tensor.shape
-
     def erase(self) -> None:
         """Best-effort scrub of the key material in place."""
         self.tensor.fill(0.0)
@@ -75,22 +82,21 @@ def _secret_tensor(s) -> np.ndarray:
     return s.tensor if isinstance(s, Secret) else np.asarray(s, dtype=np.float64)
 
 
-def project(v: np.ndarray) -> np.ndarray:
+def _operands(op: str, t: np.ndarray, s):
+    t, st = np.asarray(t, dtype=np.float64), _secret_tensor(s)
+    if t.shape != st.shape:
+        raise ShapeError(f"{op} shape mismatch: {t.shape} vs {st.shape}")
+    return t, st
+
+
+def project(v: np.ndarray) -> np.ndarray:  # perfbench wraps this
     """Normalize every spectral coefficient to unit magnitude.
 
     Idempotent and scale-invariant. A channel whose spectrum touches zero
     (e.g. an exactly constant channel) cannot be projected and raises
     DegenerateSpectrumError.
     """
-    v = np.asarray(v, dtype=np.float64)
-    spec = spectrum(v)
-    mags = np.abs(spec)
-    if np.min(mags) < EPS_PROJ:
-        raise DegenerateSpectrumError(
-            f"spectral magnitude {np.min(mags):.3e} below {EPS_PROJ:.0e}; "
-            "cannot project onto the unit-magnitude ball"
-        )
-    return from_spectrum(spec / mags)
+    return from_spectrum(unit_spectrum(spectrum(v)))
 
 
 def bind(x: np.ndarray, s) -> np.ndarray:
@@ -99,10 +105,7 @@ def bind(x: np.ndarray, s) -> np.ndarray:
     Commutative and linear in both arguments; with a unit impulse secret it
     is the identity.
     """
-    x = np.asarray(x, dtype=np.float64)
-    st = _secret_tensor(s)
-    if x.shape != st.shape:
-        raise ShapeError(f"bind shape mismatch: {x.shape} vs {st.shape}")
+    x, st = _operands("bind", x, s)
     return from_spectrum(spectrum(x) * spectrum(st))
 
 
@@ -111,21 +114,13 @@ def bind_transpose(g: np.ndarray, s) -> np.ndarray:
 
     This is the backward rule when binding is treated as a fixed linear map.
     """
-    g = np.asarray(g, dtype=np.float64)
-    st = _secret_tensor(s)
-    if g.shape != st.shape:
-        raise ShapeError(f"bind_transpose shape mismatch: {g.shape} vs {st.shape}")
+    g, st = _operands("bind_transpose", g, s)
     return from_spectrum(spectrum(g) * np.conj(spectrum(st)))
 
 
 def _reciprocal_spectrum(st: np.ndarray) -> np.ndarray:
     spec = spectrum(st)
-    mags = np.abs(spec)
-    if np.min(mags) < EPS_PROJ:
-        raise NearSingularInverseError(
-            f"spectral magnitude {np.min(mags):.3e} below {EPS_PROJ:.0e}; "
-            "reciprocal inverse is near-singular"
-        )
+    _magnitudes(spec, NearSingularInverseError, "reciprocal inverse is near-singular")
     return 1.0 / spec
 
 
@@ -135,11 +130,8 @@ def inverse(s) -> "Secret | np.ndarray":
     For projected secrets the reciprocal equals the conjugate, so the
     inverse is projected too and is an involution.
     """
-    st = _secret_tensor(s)
-    inv = from_spectrum(_reciprocal_spectrum(st))
-    if isinstance(s, Secret):
-        return Secret(inv, seed=s.seed, counter=s.counter, projected=s.projected)
-    return inv
+    inv = from_spectrum(_reciprocal_spectrum(_secret_tensor(s)))
+    return replace(s, tensor=inv) if isinstance(s, Secret) else inv
 
 
 def unbind(b: np.ndarray, s) -> np.ndarray:
@@ -148,11 +140,16 @@ def unbind(b: np.ndarray, s) -> np.ndarray:
     Exact (to float precision) when the secret is projected; approximate
     retrieval from multi-term bundles degrades with term count.
     """
-    b = np.asarray(b, dtype=np.float64)
-    st = _secret_tensor(s)
-    if b.shape != st.shape:
-        raise ShapeError(f"unbind shape mismatch: {b.shape} vs {st.shape}")
+    b, st = _operands("unbind", b, s)
     return from_spectrum(spectrum(b) * _reciprocal_spectrum(st))
+
+
+def _secret_dims(dims):
+    dims = tuple(int(d) for d in dims)
+    d = int(np.prod(dims))
+    if d <= 0:
+        raise ShapeError(f"invalid dims {dims}")
+    return dims, d
 
 
 def sample_secret(dims, rng: RngStream) -> tuple[Secret, RngStream]:
@@ -162,22 +159,54 @@ def sample_secret(dims, rng: RngStream) -> tuple[Secret, RngStream]:
     variance choice is immaterial). A degenerate draw is retried on the
     successor stream up to 3 times.
     """
-    dims = tuple(int(d) for d in dims)
-    d = int(np.prod(dims))
-    if d <= 0:
-        raise ShapeError(f"invalid dims {dims}")
-    last_err = None
-    for _ in range(1 + _SAMPLE_RETRIES):
-        state = rng
-        raw, rng = rng.normal(dims, 1.0 / d)
+    dims, d = _secret_dims(dims)
+    for attempt in range(1 + _SAMPLE_RETRIES):
+        raw, successor = rng.normal(dims, 1.0 / d)
         try:
-            return (
-                Secret(project(raw), seed=state.seed, counter=state.counter, projected=True),
-                rng,
-            )
-        except DegenerateSpectrumError as err:  # pragma: no cover - measure-zero draw
-            last_err = err
-    raise last_err  # pragma: no cover
+            return Secret(project(raw), rng.seed, rng.counter, projected=True), successor
+        except DegenerateSpectrumError:
+            if attempt == _SAMPLE_RETRIES:
+                raise
+            rng = successor
+
+
+def sample_secret_spectra(dims, k: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
+    """(unit spectra, successor) of the secrets k sample_secret calls draw.
+
+    The caller scrubs the stacked spectra; the raw draws are zeroed here. A
+    degenerate draw redoes all k through sample_secret, retry included.
+    """
+    dims, d = _secret_dims(dims)
+    start = rng
+    raw = np.empty((k,) + dims)
+    try:
+        for i in range(k):
+            raw[i], rng = rng.normal(dims, 1.0 / d)
+        try:
+            return unit_spectrum(spectrum(raw, len(dims))), rng
+        except DegenerateSpectrumError:
+            rng = start
+        for i in range(k):
+            secret, rng = sample_secret(dims, rng)
+            raw[i] = secret.tensor
+            secret.erase()
+        return unit_spectrum(spectrum(raw, len(dims))), rng
+    finally:
+        raw.fill(0.0)
+
+
+def batch_bind(x: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Bind every item of a batch (one leading axis) with its own unit spectrum."""
+    return from_spectrum(spectrum(x, x.ndim - 1) * spectra, x.ndim - 1)
+
+
+def batch_unbind(r: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    return from_spectrum(spectrum(r, r.ndim - 1) / spectra, r.ndim - 1)
+
+
+def batch_unbind_transpose(g: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Adjoint of batch_unbind w.r.t. its tensor argument."""
+    return from_spectrum(spectrum(g, g.ndim - 1) * np.conj(1.0 / spectra), g.ndim - 1)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -205,7 +234,7 @@ class Bundle:
         return cls(np.zeros(tuple(dims), dtype=np.float64), 0)
 
 
-def bundle_add(bundle: Bundle, x: np.ndarray, y) -> Bundle:
+def bundle_add(bundle: Bundle, x: np.ndarray, y) -> Bundle:  # perfbench wraps this
     """Accumulate one bound pair into the bundle (pure; returns a new one)."""
     bound = bind(x, y)
     if bundle.tensor.shape != bound.shape:
@@ -289,7 +318,5 @@ def _draw_probe_vector(dims, var, projected, rng):
 
 
 def _draw_probe_secret(dims, var, projected, rng):
-    state = rng
-    raw, rng = rng.normal(dims, var)
-    tensor = project(raw) if projected else raw
-    return Secret(tensor, state.seed, state.counter, projected=projected), rng
+    tensor, successor = _draw_probe_vector(dims, var, projected, rng)
+    return Secret(tensor, rng.seed, rng.counter, projected=projected), successor

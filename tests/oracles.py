@@ -1,10 +1,18 @@
 """Brute-force reference implementations used only to check the fast paths.
 
 Everything here follows the textbook definitions with explicit loops and
-modular indexing, deliberately independent of any FFT code under test.
+modular indexing, deliberately independent of any FFT code under test. The
+exceptions are the earlier fast paths kept as references for their
+replacements (the roll kernel, the per-replicate client), which are
+written on the public single-tensor ops.
 """
 
 import numpy as np
+
+from holobind.errors import ProtocolError, RemoteFailureError
+from holobind.protocol import STATUS_OK, BoundRequest, decode_response, encode_request
+from holobind.trainer import _head_forward
+from holobind.vsa import bind, sample_secret, unbind
 
 
 def direct_dft2(t):
@@ -140,6 +148,42 @@ def roll_circconv_backward(kernel, x, grad_out):
             g_shift = np.roll(grad_out, shift=(i - ch, j - cw), axis=(-3, -2))
             grad_input += g_shift @ kernel[i, j].T
     return grad_kernel, grad_input
+
+
+def per_replicate_client_infer(x, plan, model):
+    """``client_infer`` one replicate at a time: the earlier client loop.
+
+    Per replicate: sample_secret, bind, request, unbind, erase, head; the
+    distributions are averaged and the successor stream is left in
+    ``plan.rng``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    dims = x.shape
+    rng = plan.rng
+    base_ids, rng = rng.integers(1, 2 ** 32, 1)
+    distributions = []
+    for i in range(plan.k):
+        secret, rng = sample_secret(dims, rng)
+        request_id = int(base_ids[0]) + i
+        payload = bind(x, secret)
+        reply = plan.transport.request(encode_request(BoundRequest(request_id, payload)))
+        response = decode_response(reply)
+        if response.request_id != request_id:
+            raise ProtocolError(
+                f"response id {response.request_id} does not echo request {request_id}"
+            )
+        if response.status != STATUS_OK:
+            raise RemoteFailureError("worker reported failure", response.status)
+        if response.payload.shape != dims:
+            raise ProtocolError(
+                f"response dims {response.payload.shape} != input dims {dims}"
+            )
+        retrieved = unbind(response.payload, secret)
+        secret.erase()
+        probs, _ = _head_forward(model.params, "p", retrieved.reshape(1, -1))
+        distributions.append(probs[0])
+    plan.rng = rng
+    return np.mean(distributions, axis=0)
 
 
 def central_difference(f, x, eps=1e-5):

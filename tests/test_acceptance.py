@@ -377,16 +377,21 @@ def test_criterion_11_protocol(dataset, trained):
     rng = seed_stream
     _, rng = rng.integers(1, 2 ** 32, 1)
     secret_ok = True
-    for _ in range(3):
+    regen_err = 0.0  # each regenerated secret must unbind its own sent payload
+    for sent in recorder.sent:
         secret, rng = sample_secret(x.shape, rng)
+        regen_err = max(regen_err, float(np.max(np.abs(
+            unbind(decode_request(sent).payload, secret) - x))))
         for dtype in ("f64", "f32"):
             payload = tensor_to_bytes(secret.tensor, dtype)[22:]
             secret_ok = secret_ok and payload not in transcript
 
-    ok = identity_err <= 1e-5 and round_ok and echo_ok and size_ok and secret_ok
+    ok = (identity_err <= 1e-5 and round_ok and echo_ok and size_ok and secret_ok
+          and regen_err <= 1e-5)
     _line(11, ok, f"loopback identity err {identity_err:.2e} (<= 1e-5), one round per "
                   f"replicate: {round_ok}, ids echoed: {echo_ok}, request bytes exact: "
-                  f"{size_ok}, no secret bytes in transcript: {secret_ok}")
+                  f"{size_ok}, no secret bytes in transcript: {secret_ok} (regenerated "
+                  f"secrets unbind the payloads to {regen_err:.2e}, <= 1e-5)")
     assert ok
 
 

@@ -4,8 +4,10 @@ import threading
 import numpy as np
 import pytest
 
+from holobind import vsa
 from holobind.backbone import identity_spec, toy_fw_spec
 from holobind.errors import (
+    DegenerateSpectrumError,
     ParameterError,
     ProtocolError,
     RemoteFailureError,
@@ -33,8 +35,10 @@ from holobind.protocol import (
     request_size,
 )
 from holobind.tensor import RngStream, tensor_to_bytes
-from holobind.trainer import _head_forward, init_toy_model
-from holobind.vsa import sample_secret
+from holobind.trainer import _head_forward, backbone_applier, init_toy_model
+from holobind.vsa import sample_secret, unbind
+
+from oracles import per_replicate_client_infer
 
 
 def _f32(arr):
@@ -192,11 +196,14 @@ def test_no_secret_bytes_in_transcript():
     plan = QueryPlan(3, seed_stream, recorder)
     client_infer(x, plan, model)
     transcript = recorder.all_bytes()
-    # regenerate the very secrets the client used (same stream, same order)
+    # regenerate the very secrets the client used (same stream, same order);
+    # each must unbind its own sent payload back to x, or this checks nothing
     rng = seed_stream
     _, rng = rng.integers(1, 2 ** 32, 1)
-    for _ in range(3):
+    for sent in recorder.sent:
         secret, rng = sample_secret((16, 16, 1), rng)
+        payload = decode_request(sent).payload
+        assert np.max(np.abs(unbind(payload, secret) - x)) <= 1e-5  # f32 on the wire
         for dtype in ("f64", "f32"):
             blob = tensor_to_bytes(secret.tensor, dtype)[22:]  # payload bytes only
             assert blob not in transcript
@@ -212,6 +219,108 @@ def test_client_surfaces_remote_failure():
     with pytest.raises(RemoteFailureError) as err:
         client_infer(x, plan, model)
     assert err.value.status == STATUS_APPLY_ERROR
+
+
+def _recording_transport(kind, model):
+    applier = identity_spec((16, 16, 1)).apply if kind == "identity" else backbone_applier(model)
+    return TranscriptRecorder(LoopbackTransport(applier))
+
+
+@pytest.mark.parametrize("kind", ["identity", "toy_backbone"])
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_client_infer_matches_per_replicate_reference(k, kind):
+    # The identity backbone returns x whatever the secret, so only the toy
+    # backbone's distribution shows a secret drawn out of order.
+    model = init_toy_model(9)
+    x = np.random.default_rng(30 + k).normal(size=(16, 16, 1))
+    runs = []
+    for infer in (client_infer, per_replicate_client_infer):
+        recorder = _recording_transport(kind, model)
+        plan = QueryPlan(k, RngStream(26, counter=k), recorder)
+        dist = infer(x, plan, model)
+        runs.append((dist, [decode_request(m) for m in recorder.sent], plan.rng))
+    (dist, sent, rng), (ref_dist, ref_sent, ref_rng) = runs
+    assert np.max(np.abs(dist - ref_dist)) <= 1e-12
+    assert [r.request_id for r in sent] == [r.request_id for r in ref_sent]
+    assert len(sent) == k
+    for got, want in zip(sent, ref_sent):
+        # the f64 payloads agree to rounding, so their f32 forms differ by at
+        # most one unit in the last place
+        assert np.max(np.abs(got.payload - want.payload)) <= 2.0 ** -23 * np.max(np.abs(want.payload))
+    assert rng == ref_rng
+
+
+def test_client_infer_retries_a_degenerate_draw_as_sample_secret_does(monkeypatch):
+    normal = RngStream.normal
+
+    def constant_at(counters):
+        # a constant draw has zero spectral magnitude off DC: it cannot be projected
+        def draw(self, dims, variance=1.0):
+            arr, successor = normal(self, dims, variance)
+            return (np.ones_like(arr) if self.counter in counters else arr), successor
+        return draw
+
+    model = init_toy_model(11)
+    x = np.random.default_rng(31).normal(size=(16, 16, 1))
+    # request ids come from counter 0 and secrets from 1 on; slot 1's first
+    # draw (counter 2) fails, so slots 1 and 2 take counters 3 and 4
+    monkeypatch.setattr(RngStream, "normal", constant_at({2}))
+    runs = []
+    for infer in (client_infer, per_replicate_client_infer):
+        recorder = _recording_transport("toy_backbone", model)
+        plan = QueryPlan(3, RngStream(29), recorder)
+        dist = infer(x, plan, model)
+        runs.append((dist, [decode_request(m).payload for m in recorder.sent], plan.rng))
+    (dist, sent, rng), (ref_dist, ref_sent, ref_rng) = runs
+    assert rng == ref_rng == RngStream(29, counter=5)
+    assert np.max(np.abs(dist - ref_dist)) <= 1e-12
+    for got, want in zip(sent, ref_sent):
+        assert np.max(np.abs(got - want)) <= 2.0 ** -23 * np.max(np.abs(want))
+
+    # four degenerate draws in a row give up, as sample_secret does, before
+    # anything is sent
+    monkeypatch.setattr(RngStream, "normal", constant_at({1, 2, 3, 4}))
+    recorder = _recording_transport("identity", model)
+    with pytest.raises(DegenerateSpectrumError):
+        client_infer(x, QueryPlan(3, RngStream(29), recorder), model)
+    assert recorder.sent == []
+
+
+def _second_call_fails(fn, failure):
+    calls = []
+
+    def call(arg):
+        calls.append(None)
+        if len(calls) == 2:
+            raise failure
+        return fn(arg)
+
+    return call
+
+
+def test_client_infer_scrubs_secret_spectra_on_every_exit(monkeypatch):
+    kept = []
+    unit_spectrum = vsa.unit_spectrum
+
+    def keeping(spec):
+        kept.append(unit_spectrum(spec))
+        return kept[-1]
+
+    monkeypatch.setattr(vsa, "unit_spectrum", keeping)
+    model = init_toy_model(10)
+    x = np.random.default_rng(32).normal(size=(16, 16, 1))
+    identity = identity_spec((16, 16, 1)).apply
+    client_infer(x, QueryPlan(3, RngStream(27), LoopbackTransport(identity)), model)
+    # the second replicate fails: at the worker, then on the wire
+    remote = LoopbackTransport(_second_call_fails(identity, ValueError("down")))
+    with pytest.raises(RemoteFailureError):
+        client_infer(x, QueryPlan(3, RngStream(28), remote), model)
+    wire = LoopbackTransport(identity)
+    wire.request = _second_call_fails(wire.request, TransportError("cut"))
+    with pytest.raises(TransportError):
+        client_infer(x, QueryPlan(3, RngStream(28), wire), model)
+    assert [a.shape for a in kept] == [(3, 16, 16, 1)] * 3
+    assert not any(np.any(a) for a in kept)
 
 
 def test_query_plan_validates_k():
@@ -298,8 +407,9 @@ def test_cost_report_identity_backbone():
 def test_cost_report_toy_fw_split():
     report = cost_report(toy_fw_spec(), (16, 16, 1), k=1)
     assert report.remote_flops == 663_552
-    # bind + unbind at 3 transforms each of 5 n log2 n, plus the head
-    assert report.local_flops == 2 * 3 * 5 * 256 * 8 + (64 * 256 + 4 * 64)
+    # x transformed once, then per replicate 4 transforms of 5 n log2 n
+    # (secret, payload, reply, unbound reply) plus the head
+    assert report.local_flops == (1 + 4) * 5 * 256 * 8 + (64 * 256 + 4 * 64)
     assert report.remote_fraction >= 0.65
     assert report.bytes_up == report.bytes_down == 1060
 
@@ -308,6 +418,8 @@ def test_cost_report_scales_linearly_in_k():
     one = cost_report(toy_fw_spec(), (16, 16, 1), k=1)
     ten = cost_report(toy_fw_spec(), (16, 16, 1), k=10)
     assert ten.remote_flops == 10 * one.remote_flops
-    assert ten.local_flops == 10 * one.local_flops
+    # the one transform of x is shared by all replicates
+    per_replicate = 4 * 5 * 256 * 8 + (64 * 256 + 4 * 64)
+    assert ten.local_flops == one.local_flops + 9 * per_replicate
     assert ten.bytes_up == 10 * one.bytes_up
     assert ten.bytes_down == 10 * one.bytes_down

@@ -12,8 +12,6 @@ from holobind.trainer import (
     adam_state_to_bytes,
     adam_step,
     backward_batch,
-    batch_bind,
-    batch_unbind,
     bound_views,
     cross_entropy,
     draw_secret_spectra,
@@ -30,6 +28,7 @@ from holobind.trainer import (
     train_toy_model,
     worker_views,
 )
+from holobind.vsa import batch_bind, batch_unbind
 
 from oracles import central_difference_at
 

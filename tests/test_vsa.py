@@ -17,11 +17,13 @@ from holobind.vsa import (
     bind_transpose,
     bundle_add,
     cosine,
+    from_spectrum,
     inverse,
     presence_probe,
     probe_curves,
     project,
     sample_secret,
+    sample_secret_spectra,
     spectrum,
     unbind,
 )
@@ -69,6 +71,22 @@ def test_project_unit_magnitudes_per_channel():
 
 
 # ------------------------------------------------------------------- binding
+
+@pytest.mark.parametrize("dims", [(16,), (8, 8), (8, 8, 3)])
+def test_spectrum_batch_axes_match_single_items(dims):
+    items = np.random.default_rng(40).normal(size=(5,) + dims)
+    spec = spectrum(items, len(dims))
+    assert np.array_equal(spec, np.stack([spectrum(t) for t in items]))
+    assert np.array_equal(from_spectrum(spec, len(dims)),
+                          np.stack([from_spectrum(s) for s in spec]))
+
+
+def test_spectrum_rank_must_fit_the_array():
+    with pytest.raises(ShapeError):
+        spectrum(np.zeros((2, 4, 4, 1, 1)))  # 4D items
+    with pytest.raises(ShapeError):
+        spectrum(np.zeros((4, 4)), 3)  # fewer axes than the item rank
+
 
 def test_bind_impulse_identity():
     x = np.random.default_rng(5).normal(size=(8, 8))
@@ -231,6 +249,22 @@ def test_successive_secrets_nearly_orthogonal():
         s2, _ = sample_secret((16, 16, 1), rng)
         ok += abs(cosine(s1.tensor, s2.tensor)) < 0.15
     assert ok / n >= 0.95
+
+
+@pytest.mark.parametrize("dims", [(16,), (8, 8), (8, 8, 3)])
+def test_sample_secret_spectra_match_successive_sample_secret(dims):
+    spectra, rng = sample_secret_spectra(dims, 4, RngStream(5))
+    ref_rng = RngStream(5)
+    for spec in spectra:
+        secret, ref_rng = sample_secret(dims, ref_rng)
+        assert np.max(np.abs(spec - spectrum(secret.tensor))) <= 1e-12
+    assert rng == ref_rng
+    assert np.max(np.abs(np.abs(spectra) - 1.0)) <= 1e-12
+
+
+def test_sample_secret_spectra_rejects_empty_dims():
+    with pytest.raises(ShapeError):
+        sample_secret_spectra((4, 0), 2, RngStream(6))
 
 
 def test_secret_erase_zeroes_buffer():
