@@ -3,7 +3,7 @@ one-round split-inference protocol, toy adversarial trainer, and the
 attack suite that audits the obfuscation."""
 
 from .errors import HolobindError
-from .tensor import RngStream, fft2, gaussian_tensor, ifft2, read_tensor, write_tensor
+from .tensor import RngStream, read_tensor, write_tensor
 from .vsa import (
     Bundle,
     Secret,
@@ -20,9 +20,6 @@ from .vsa import (
 __all__ = [
     "HolobindError",
     "RngStream",
-    "fft2",
-    "ifft2",
-    "gaussian_tensor",
     "read_tensor",
     "write_tensor",
     "Secret",

@@ -17,7 +17,10 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .tensor import RngStream
-from .vsa import Secret, cosine, unbind
+# Imported by name, so a benchmark that wraps trainer.adam_step times only
+# the training steps.
+from .trainer import AdamState, _head_backward, _head_forward, adam_step
+from .vsa import Secret, cosine, from_spectrum, spectrum, unbind, unit_spectrum
 
 EPS_PSD = 1e-8
 
@@ -194,50 +197,28 @@ def clustering_attack(outputs, true_labels, k: int, rng: RngStream,
 
 # ----------------------------------------------------------- strong adversary
 
-def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32, lr=1e-3):
-    """Train a head with the adversarial architecture from scratch; perfbench wraps it."""
-    from .backbone import leaky_relu_backward, leaky_relu_forward
-    from .trainer import softmax
-
+def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32,
+                      lr=1e-3):  # perfbench wraps this
+    """Train a head with the adversarial architecture from scratch; returns its predictor."""
     n, d = x_flat.shape
     hidden = 64
     rng = RngStream(seed, counter=7 << 32)
     w1, rng = rng.normal((hidden, d), 2.0 / d)
-    b1 = np.zeros(hidden)
     w2, rng = rng.normal((n_classes, hidden), 1.0 / hidden)
-    b2 = np.zeros(n_classes)
-    params = [w1, b1, w2, b2]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    t = 0
+    params = {"a_w1": w1, "a_b1": np.zeros(hidden), "a_w2": w2, "a_b2": np.zeros(n_classes)}
+    state = AdamState.zeros_like(params)
     for _ in range(epochs):
         order, rng = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            x, y = x_flat[idx], labels[idx]
-            z1 = x @ params[0].T + params[1]
-            a1 = leaky_relu_forward(z1, 0.1)
-            probs = softmax(a1 @ params[2].T + params[3])
-            dz2 = probs.copy()
-            dz2[np.arange(len(idx)), y] -= 1.0
-            dz2 /= len(idx)
-            gw2 = dz2.T @ a1
-            gb2 = dz2.sum(axis=0)
-            dz1 = leaky_relu_backward(z1, dz2 @ params[2], 0.1)
-            gw1 = dz1.T @ x
-            gb1 = dz1.sum(axis=0)
-            t += 1
-            for i, g in enumerate((gw1, gb1, gw2, gb2)):
-                m[i] = 0.9 * m[i] + 0.1 * g
-                v[i] = 0.999 * v[i] + 0.001 * g * g
-                params[i] = params[i] - lr * (m[i] / (1 - 0.9 ** t)) / (
-                    np.sqrt(v[i] / (1 - 0.999 ** t)) + 1e-8
-                )
+            probs, cache = _head_forward(params, "a", x_flat[idx])
+            grads = {}
+            _head_backward(params, "a", cache, probs, labels[idx], grads)
+            params, state = adam_step(params, grads, state, lr)
 
     def predict(xq):
-        from .backbone import leaky_relu_forward as lr_fwd
-        a = lr_fwd(xq @ params[0].T + params[1], 0.1)
-        return np.argmax(a @ params[2].T + params[3], axis=1)
+        probs, _ = _head_forward(params, "a", xq)
+        return np.argmax(probs, axis=1)
 
     return predict
 
@@ -346,21 +327,20 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
     if batch.ndim != 3:
         raise ShapeError(f"expected a batch of 2D bound tensors, got shape {batch.shape}")
     n, h, w = batch.shape
-    specs = np.fft.fft2(batch, axes=(1, 2))
+    specs = spectrum(batch, 2)
 
     if s_init is not None:
-        psi = 1.0 / np.fft.fft2(s_init.tensor.reshape(h, w))
+        psi = 1.0 / spectrum(s_init.tensor.reshape(h, w))
     else:
         raw, rng = rng.normal((h, w), 1.0)
-        f = np.fft.fft2(raw)
-        psi = np.conj(f / np.abs(f))
+        psi = np.conj(unit_spectrum(spectrum(raw)))
 
     def score_and_grad(psi_now):
-        u = np.fft.ifft2(specs * psi_now[None, :, :], axes=(1, 2)).real
+        u = from_spectrum(specs * psi_now, 2)
         z = reference.pca.project(u.reshape(n, -1))
         score, grad_z = _frechet_score_and_mean_grad(z, reference.stats)
         grad_u = (grad_z @ reference.pca.components).reshape(n, h, w)
-        grad_psi = np.sum(np.conj(specs) * np.fft.fft2(grad_u, axes=(1, 2)), axis=0) / (h * w)
+        grad_psi = np.sum(np.conj(specs) * spectrum(grad_u, 2), axis=0) / (h * w)
         return score, grad_psi
 
     if validate_gradient:
@@ -372,14 +352,11 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
     for step in range(steps):
         if not np.all(np.isfinite(grad.view(np.float64))):
             raise ParameterError(f"non-finite inversion gradient at step {step}")
-        psi = psi - lr * grad
-        mags = np.abs(psi)
-        mags[mags < 1e-300] = 1.0
-        psi = psi / mags  # re-project to unit spectral magnitude
+        psi = unit_spectrum(psi - lr * grad)
         score, grad = score_and_grad(psi)
         trajectory.append(score)
 
-    s_hat = Secret(np.fft.ifft2(np.conj(psi)).real, seed=rng.seed,
+    s_hat = Secret(from_spectrum(np.conj(psi)), seed=rng.seed,
                    counter=rng.counter, projected=True)
     recovery = None
     if x_true is not None:
@@ -401,17 +378,17 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
 def _validate_inversion_gradient(score_and_grad, psi, rng, eps=1e-6, tol=1e-3):
     """FD-check the analytic gradient in the real filter domain; perfbench wraps it."""
     h, w = psi.shape
-    filt = np.fft.ifft2(psi).real
-    _, grad_psi = score_and_grad(np.fft.fft2(filt))
+    filt = from_spectrum(psi)
+    _, grad_psi = score_and_grad(spectrum(filt))
     # pull the Wirtinger gradient back to the real filter: d/dw = n*Re(ifft(D))
-    grad_filt = (h * w) * np.real(np.fft.ifft2(grad_psi))
+    grad_filt = (h * w) * from_spectrum(grad_psi)
     idx, _ = rng.integers(0, filt.size, 3)
     for i in idx:
         probe = filt.copy().ravel()
         probe[i] += eps
-        hi, _ = score_and_grad(np.fft.fft2(probe.reshape(h, w)))
+        hi, _ = score_and_grad(spectrum(probe.reshape(h, w)))
         probe[i] -= 2 * eps
-        lo, _ = score_and_grad(np.fft.fft2(probe.reshape(h, w)))
+        lo, _ = score_and_grad(spectrum(probe.reshape(h, w)))
         fd = (hi - lo) / (2 * eps)
         analytic = grad_filt.ravel()[i]
         if abs(fd - analytic) > tol * max(1.0, abs(fd)):

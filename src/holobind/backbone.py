@@ -4,8 +4,8 @@ A backbone is a chain of layers with a validated shape chain; specs used in
 the split-inference protocol must preserve the input shape so the client's
 secret matches the output. Convolutions use circular padding throughout,
 which keeps every linear backbone inside the circulant algebra that binding
-relies on. Layer forward/backward passes here are also the building blocks
-of the toy trainer.
+relies on. Layers carry their forward and backward passes, so the toy trainer
+trains the same BackboneSpec a worker serves.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 from .errors import SpecError, ShapeError
 from .tensor import RngStream
 from .vsa import bind, unbind
+
+LEAKY_ALPHA = 0.1  # negative slope of the toy backbone's and heads' leaky-relu
 
 
 # ------------------------------------------------------------ layer kernels
@@ -131,20 +133,27 @@ def dense_backward(weight: np.ndarray, x_flat: np.ndarray, grad_out: np.ndarray)
 
 
 # ------------------------------------------------------------------- layers
+#
+# Every layer method takes a batch: a leading batch axis in front of the
+# item dims. ``backward(t, grad_out)`` gets the layer's forward input and
+# returns (parameter gradient or None, input gradient).
 
 @dataclass(frozen=True)
 class Identity:
     def output_dims(self, dims):
         return dims
 
-    def apply(self, t):
+    def forward(self, t):
         return t
+
+    def backward(self, t, grad_out):
+        return None, grad_out
 
 
 @dataclass(frozen=True)
 class CircConv2d:
     kernel: np.ndarray
-    seed: int
+    seed: int | None = None  # None for a trained kernel
 
     @classmethod
     def from_seed(cls, kh, kw, cin, cout, seed):
@@ -160,8 +169,11 @@ class CircConv2d:
             raise SpecError(f"circconv2d cin {cin} does not chain from input depth {dims[2]}")
         return (dims[0], dims[1], cout)
 
-    def apply(self, t):
+    def forward(self, t):
         return circconv_forward(self.kernel, t)
+
+    def backward(self, t, grad_out):
+        return circconv_backward(self.kernel, t, grad_out)
 
 
 @dataclass(frozen=True)
@@ -171,14 +183,17 @@ class Pointwise:
     def output_dims(self, dims):
         return dims
 
-    def apply(self, t):
+    def forward(self, t):
         return leaky_relu_forward(t, self.alpha)
+
+    def backward(self, t, grad_out):
+        return None, leaky_relu_backward(t, grad_out, self.alpha)
 
 
 @dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray
-    seed: int
+    seed: int | None = None  # None for a trained weight
 
     @classmethod
     def from_seed(cls, rows, cols, seed):
@@ -192,8 +207,13 @@ class DenseLayer:
             raise SpecError(f"dense cols {cols} does not chain from input size {size}")
         return (rows,)
 
-    def apply(self, t):
-        return dense_forward(self.weight, np.reshape(t, -1))
+    def forward(self, t):
+        # one product per item, so an item's output does not depend on its batch
+        return dense_forward(self.weight, t.reshape(len(t), 1, -1))[:, 0]
+
+    def backward(self, t, grad_out):
+        grad_weight, grad_input = dense_backward(self.weight, t.reshape(len(t), -1), grad_out)
+        return grad_weight, grad_input.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -218,16 +238,40 @@ class BackboneSpec:
         return self.output_dims == self.input_dims
 
     def apply(self, t: np.ndarray) -> np.ndarray:
+        """Forward of one item whose shape must be exactly ``input_dims``."""
         t = np.asarray(t, dtype=np.float64)
         if t.shape != self.input_dims:
             raise ShapeError(f"input dims {t.shape} != spec input {self.input_dims}")
+        out, _ = self.forward(t[None])
+        return out[0]
+
+    def forward(self, batch: np.ndarray, keep_inputs: bool = False):
+        """Forward of a batch of items; returns (outputs, layer inputs).
+
+        The layer inputs, which ``backward`` needs, are kept only when
+        ``keep_inputs`` is set; otherwise each is freed once its layer ran.
+        """
+        t = np.asarray(batch, dtype=np.float64)
+        if t.shape[1:] != self.input_dims:
+            raise ShapeError(f"batch item dims {t.shape[1:]} != spec input {self.input_dims}")
+        inputs = []
         for layer in self.layers:
-            t = layer.apply(t)
-        return t
+            if keep_inputs:
+                inputs.append(t)
+            t = layer.forward(t)
+        return t, inputs
 
+    def backward(self, inputs, grad_out: np.ndarray) -> list:
+        """Each layer's parameter gradient (None where it has none).
 
-def apply(spec: BackboneSpec, t: np.ndarray) -> np.ndarray:
-    return spec.apply(t)
+        ``inputs`` are the layer inputs from ``forward(..., keep_inputs=True)``
+        and ``grad_out`` is the gradient of the loss w.r.t. its outputs.
+        """
+        grads = []
+        for layer, t in zip(reversed(self.layers), reversed(inputs)):
+            grad, grad_out = layer.backward(t, grad_out)
+            grads.append(grad)
+        return grads[::-1]
 
 
 # -------------------------------------------------------------- text format
@@ -272,8 +316,11 @@ def parse_spec(text: str) -> BackboneSpec:
 
 
 def serialize_spec(spec: BackboneSpec) -> str:
+    """Text form of a seeded spec; a trained layer has no seed and is refused."""
     lines = ["input {} {} {}".format(*spec.input_dims)]
     for layer in spec.layers:
+        if getattr(layer, "seed", 0) is None:
+            raise SpecError(f"{type(layer).__name__} holds trained weights with no seed")
         if isinstance(layer, Identity):
             lines.append("identity")
         elif isinstance(layer, CircConv2d):
@@ -298,17 +345,20 @@ def identity_spec(dims) -> BackboneSpec:
     return BackboneSpec(tuple(dims), (Identity(),))
 
 
+def conv_chain(dims, convs) -> BackboneSpec:
+    """CircConv2d layers with a leaky-relu (LEAKY_ALPHA) between each two."""
+    layers = [convs[0]]
+    for conv in convs[1:]:
+        layers += [Pointwise(LEAKY_ALPHA), conv]
+    return BackboneSpec(tuple(dims), tuple(layers))
+
+
 def toy_fw_spec(dims=(16, 16, 1), seed: int = 100) -> BackboneSpec:
-    """Reference nonlinear stack used by the toy trainer and benchmarks."""
-    h, w, d = dims
-    layers = (
-        CircConv2d.from_seed(3, 3, d, 16, seed),
-        Pointwise(0.1),
-        CircConv2d.from_seed(3, 3, 16, 16, seed + 1),
-        Pointwise(0.1),
-        CircConv2d.from_seed(3, 3, 16, d, seed + 2),
-    )
-    return BackboneSpec((h, w, d), layers)
+    """Reference nonlinear stack: the toy trainer's architecture with seeded kernels."""
+    d = dims[2]
+    channels = ((d, 16), (16, 16), (16, d))
+    return conv_chain(dims, [CircConv2d.from_seed(3, 3, cin, cout, seed + i)
+                             for i, (cin, cout) in enumerate(channels)])
 
 
 def linear_circconv_spec(dims, n_layers: int = 1, seed: int = 200) -> BackboneSpec:

@@ -25,10 +25,6 @@ class NearSingularInverseError(DegenerateSpectrumError):
     """Reciprocal spectral inverse would divide by a near-zero magnitude."""
 
 
-class ConjugateSymmetryError(HolobindError):
-    """Inverse transform produced a non-negligible imaginary residue."""
-
-
 class FormatError(HolobindError):
     """Malformed tensor container or model file.
 

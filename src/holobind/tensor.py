@@ -1,8 +1,8 @@
-"""Dense tensor primitives: Fourier transforms, seeded sampling, container I/O.
+"""Dense tensor primitives: seeded sampling and container I/O.
 
 Tensors are plain float64 numpy arrays in row-major layout, channel-last for
-3D data. The transform convention is fixed once for the whole toolkit:
-unnormalized forward, 1/n inverse.
+3D data. The Fourier transforms (unnormalized forward, 1/n inverse) live
+with the binding algebra in ``vsa``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConjugateSymmetryError,
-    FormatError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import FormatError, ParameterError, ShapeError
 
 MAGIC = b"HBT1"
 DTYPE_F32 = 1
@@ -25,61 +20,6 @@ DTYPE_F64 = 2
 
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 _DTYPE_CODES = {"f32": DTYPE_F32, "f64": DTYPE_F64}
-
-# Relative imaginary residue allowed when casting an inverse transform back
-# to the reals.
-IMAG_RESIDUE_TOL = 1e-8
-
-
-def fft2(t: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2D transform of a real H×W tensor."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2:
-        raise ShapeError(f"fft2 expects a 2D tensor, got {t.ndim}D")
-    return np.fft.fft2(t)
-
-
-def ifft2(s: np.ndarray) -> np.ndarray:
-    """Inverse 2D transform (applies the 1/(H·W) factor), returning reals.
-
-    Raises ConjugateSymmetryError when the imaginary residue exceeds
-    1e-8 relative to the real part, which signals a spectrum that does not
-    correspond to any real tensor.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.ndim != 2:
-        raise ShapeError(f"ifft2 expects a 2D spectrum, got {s.ndim}D")
-    out = np.fft.ifft2(s)
-    _check_residue(out)
-    return out.real.copy()
-
-
-def fft1(t: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 1D transform of a real vector."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        raise ShapeError(f"fft1 expects a 1D tensor, got {t.ndim}D")
-    return np.fft.fft(t)
-
-
-def ifft1(s: np.ndarray) -> np.ndarray:
-    """Inverse 1D transform with the same real-output contract as ifft2."""
-    s = np.asarray(s, dtype=np.complex128)
-    if s.ndim != 1:
-        raise ShapeError(f"ifft1 expects a 1D spectrum, got {s.ndim}D")
-    out = np.fft.ifft(s)
-    _check_residue(out)
-    return out.real.copy()
-
-
-def _check_residue(out: np.ndarray) -> None:
-    max_re = float(np.max(np.abs(out.real)))
-    max_im = float(np.max(np.abs(out.imag)))
-    if max_im > IMAG_RESIDUE_TOL * max(max_re, 1e-300):
-        raise ConjugateSymmetryError(
-            f"imaginary residue {max_im:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} "
-            f"of max real magnitude {max_re:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -123,15 +63,6 @@ class RngStream:
         """Random permutation of range(n); returns (array, successor)."""
         arr = self._generator().permutation(n)
         return arr, self.next()
-
-
-def gaussian_tensor(dims, variance: float, rng: RngStream) -> np.ndarray:
-    """Seeded i.i.d. Gaussian tensor; pure in (dims, variance, rng)."""
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ShapeError(f"all extents must be positive, got {dims}")
-    arr, _ = rng.normal(dims, variance)
-    return arr
 
 
 def tensor_to_bytes(t: np.ndarray, dtype: str = "f64") -> bytes:

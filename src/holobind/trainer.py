@@ -7,9 +7,11 @@ loss is the sum of both cross-entropies, averaged over the mini-batch. Each
 head descends its own cross-entropy; the backbone descends CE_P minus
 ``REVERSAL_WEIGHT`` times CE_A (the reversal layer's lambda in Ganin &
 Lempitsky, ICML 2015).
-Backpropagation is handwritten for this fixed architecture; binding and
-unbinding are constant linear maps per example, so their backward rule is
-the circulant transpose (circular correlation with the same filter).
+The backbone is a BackboneSpec built from the model's kernels, whose layers
+carry their own backward passes; the heads' backpropagation is handwritten.
+Binding and unbinding are constant linear maps per example, so their
+backward rule is the circulant transpose (circular correlation with the
+same filter).
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import (
-    circconv_backward,  # perfbench wraps this
-    circconv_forward,  # perfbench wraps this
+    LEAKY_ALPHA,
+    BackboneSpec,
+    CircConv2d,
+    conv_chain,
     leaky_relu_backward,
     leaky_relu_forward,
 )
+from .backbone import circconv_backward, circconv_forward  # unused here; perfbench wraps them
 from .errors import FormatError, ParameterError, TrainingDivergedError
 from .tensor import RngStream, tensor_from_bytes, tensor_to_bytes
 from .vsa import (batch_bind, batch_unbind, batch_unbind_transpose, from_spectrum, spectrum,
@@ -34,7 +39,6 @@ from .vsa import (batch_bind, batch_unbind, batch_unbind_transpose, from_spectru
 MODEL_MAGIC = b"HBTM"
 MODEL_VERSION = 1
 
-LEAKY_ALPHA = 0.1
 # With the full reversed gradient the backbone raises the adversary's loss
 # by inflating its output norm (and so the prediction head's input), which
 # destabilizes training; this weight damps that push. The adversary head
@@ -108,8 +112,8 @@ class TrainConfig:
             raise ParameterError("epochs, batch size and learning rate must be positive")
 
 
-_PARAM_NAMES = (
-    "conv1", "conv2", "conv3",
+_CONV_NAMES = ("conv1", "conv2", "conv3")
+_PARAM_NAMES = _CONV_NAMES + (
     "p_w1", "p_b1", "p_w2", "p_b2",
     "a_w1", "a_b1", "a_w2", "a_b2",
 )
@@ -131,6 +135,11 @@ class ToyModel:
     def copy(self) -> "ToyModel":
         return ToyModel({k: v.copy() for k, v in self.params.items()},
                         self.n_classes, self.input_dims, self.seed)
+
+    @property
+    def backbone(self) -> BackboneSpec:
+        """The backbone as a spec over the current conv kernels."""
+        return conv_chain(self.input_dims, [CircConv2d(self.params[n]) for n in _CONV_NAMES])
 
 
 def init_toy_model(seed: int, n_classes: int = 4, dims=(16, 16, 1)) -> ToyModel:
@@ -196,12 +205,19 @@ def _head_forward(params, prefix, x_flat):  # perfbench wraps this
     return softmax(z2), (x_flat, z1, a1)
 
 
-def _head_backward(params, prefix, cache, probs, labels, grads):
-    x_flat, z1, a1 = cache
+def _logit_grad(probs, labels):
+    """Gradient of the mean cross-entropy w.r.t. the logits of a softmax."""
     n = probs.shape[0]
-    dz2 = probs.copy()
-    dz2[np.arange(n), labels] -= 1.0
-    dz2 /= n
+    dz = probs.copy()
+    dz[np.arange(n), labels] -= 1.0
+    dz /= n
+    return dz
+
+
+def _head_backward(params, prefix, cache, probs, labels, grads):
+    """Fill ``grads`` with the head's parameter gradients; returns the input gradient."""
+    x_flat, z1, a1 = cache
+    dz2 = _logit_grad(probs, labels)
     grads[f"{prefix}_w2"] = dz2.T @ a1
     grads[f"{prefix}_b2"] = dz2.sum(axis=0)
     da1 = dz2 @ params[f"{prefix}_w2"]
@@ -211,38 +227,18 @@ def _head_backward(params, prefix, cache, probs, labels, grads):
     return dz1 @ params[f"{prefix}_w1"]
 
 
-def _backbone_forward(params, xb):
-    h1 = circconv_forward(params["conv1"], xb)
-    a1 = leaky_relu_forward(h1, LEAKY_ALPHA)
-    h2 = circconv_forward(params["conv2"], a1)
-    a2 = leaky_relu_forward(h2, LEAKY_ALPHA)
-    r = circconv_forward(params["conv3"], a2)
-    return r, (xb, h1, a1, h2, a2)
-
-
-def _backbone_backward(params, cache, grad_r, grads):
-    xb, h1, a1, h2, a2 = cache
-    gk3, ga2 = circconv_backward(params["conv3"], a2, grad_r)
-    gh2 = leaky_relu_backward(h2, ga2, LEAKY_ALPHA)
-    gk2, ga1 = circconv_backward(params["conv2"], a1, gh2)
-    gh1 = leaky_relu_backward(h1, ga1, LEAKY_ALPHA)
-    gk1, _ = circconv_backward(params["conv1"], xb, gh1)
-    grads["conv1"] = gk1
-    grads["conv2"] = gk2
-    grads["conv3"] = gk3
-
-
 def forward_batch(model: ToyModel, x, secret_spectra):  # perfbench wraps this
     """Full bound-pipeline forward pass; returns (pred_probs, adv_probs, caches)."""
     params = model.params
-    xb = batch_bind(x, secret_spectra)
-    r, bb_cache = _backbone_forward(params, xb)
+    backbone = model.backbone
+    r, layer_inputs = backbone.forward(batch_bind(x, secret_spectra), keep_inputs=True)
     u = batch_unbind(r, secret_spectra)
     n = x.shape[0]
     p_probs, p_cache = _head_forward(params, "p", u.reshape(n, -1))
     adv_in = reverse_grad(r)
     a_probs, a_cache = _head_forward(params, "a", adv_in.reshape(n, -1))
-    return p_probs, a_probs, (bb_cache, p_cache, a_cache, secret_spectra, r.shape)
+    return p_probs, a_probs, (backbone, layer_inputs, p_cache, a_cache, secret_spectra,
+                              r.shape)
 
 
 def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels,
@@ -255,7 +251,7 @@ def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels,
     backbone is scaled by ``REVERSAL_WEIGHT``.
     """
     params = model.params
-    bb_cache, p_cache, a_cache, secret_spectra, r_shape = caches
+    backbone, layer_inputs, p_cache, a_cache, secret_spectra, r_shape = caches
     grads = {name: np.zeros_like(params[name]) for name in _PARAM_NAMES}
     grad_r = np.zeros(r_shape)
     if use_pred:
@@ -264,7 +260,8 @@ def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels,
     if use_adv:
         g_a_flat = _head_backward(params, "a", a_cache, a_probs, labels, grads)
         grad_r += REVERSAL_WEIGHT * reverse_grad_backward(g_a_flat.reshape(r_shape))
-    _backbone_backward(params, bb_cache, grad_r, grads)
+    conv_grads = [g for g in backbone.backward(layer_inputs, grad_r) if g is not None]
+    grads.update(zip(_CONV_NAMES, conv_grads))
     return grads
 
 
@@ -302,33 +299,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(new_m, new_v, t)
-
-
-def adam_state_to_bytes(state: AdamState) -> bytes:
-    out = io.BytesIO()
-    out.write(struct.pack("<I", state.step))
-    entries = [("m." + k, v) for k, v in sorted(state.m.items())]
-    entries += [("v." + k, v) for k, v in sorted(state.v.items())]
-    out.write(struct.pack("<I", len(entries)))
-    for name, arr in entries:
-        blob = tensor_to_bytes(arr, "f64") if arr.size else b""
-        raw = name.encode()
-        out.write(struct.pack("<BI", len(raw), len(blob)))
-        out.write(raw)
-        out.write(blob)
-    return out.getvalue()
-
-
-def adam_state_from_bytes(data: bytes) -> AdamState:
-    buf = io.BytesIO(data)
-    step, count = struct.unpack("<II", buf.read(8))
-    m, v = {}, {}
-    for _ in range(count):
-        nlen, blen = struct.unpack("<BI", buf.read(5))
-        name = buf.read(nlen).decode()
-        arr = tensor_from_bytes(buf.read(blen))
-        (m if name.startswith("m.") else v)[name[2:]] = arr
-    return AdamState(m, v, step)
 
 
 # ------------------------------------------------------------------ training
@@ -386,7 +356,7 @@ def evaluate(model: ToyModel, data: SynthDataset, mode: str,
     if mode in ("with_secret", "adversary_raw"):
         rng = rng or RngStream(data.seed, counter=3 << 32)
         spectra, _ = draw_secret_spectra(n, data.dims, rng)
-        r, _ = _backbone_forward(params, batch_bind(x, spectra))
+        r, _ = model.backbone.forward(batch_bind(x, spectra))
         if mode == "with_secret":
             u = batch_unbind(r, spectra)
             probs, _ = _head_forward(params, "p", u.reshape(n, -1))
@@ -403,22 +373,14 @@ def evaluate(model: ToyModel, data: SynthDataset, mode: str,
 
 def _train_linear_softmax(x_flat, labels, n_classes, iters=600, lr=0.1, l2=0.1):
     """Full-batch Adam on an L2-regularized multinomial logistic model."""
-    n, d = x_flat.shape
-    w = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
-    m_w = np.zeros_like(w); v_w = np.zeros_like(w)
-    m_b = np.zeros_like(b); v_b = np.zeros_like(b)
-    onehot = np.eye(n_classes)[labels]
-    for t in range(1, iters + 1):
-        probs = softmax(x_flat @ w.T + b)
-        dz = (probs - onehot) / n
-        gw = dz.T @ x_flat + l2 * w
-        gb = dz.sum(axis=0)
-        for g, p, m, v in ((gw, w, m_w, v_w), (gb, b, m_b, v_b)):
-            m *= 0.9; m += 0.1 * g
-            v *= 0.999; v += 0.001 * g * g
-            p -= lr * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-    return w, b
+    params = {"w": np.zeros((n_classes, x_flat.shape[1])), "b": np.zeros(n_classes)}
+    state = AdamState.zeros_like(params)
+    for _ in range(iters):
+        w, b = params["w"], params["b"]
+        dz = _logit_grad(softmax(x_flat @ w.T + b), labels)
+        grads = {"w": dz.T @ x_flat + l2 * w, "b": dz.sum(axis=0)}
+        params, state = adam_step(params, grads, state, lr)
+    return params["w"], params["b"]
 
 
 def linear_adversary_demo(data: SynthDataset, seed: int, mode: str = "fresh") -> float:
@@ -497,14 +459,9 @@ def load_model(path) -> ToyModel:
     return ToyModel(params, n_classes, (h, w, d), seed)
 
 
-def backbone_applier(model: ToyModel):
+def backbone_applier(model: ToyModel):  # perfbench wraps this
     """Single-tensor forward of the trained backbone, for serving."""
-
-    def applier(t: np.ndarray) -> np.ndarray:
-        r, _ = _backbone_forward(model.params, t[None, ...])
-        return r[0]
-
-    return applier
+    return model.backbone.apply
 
 
 def bound_views(dims, images: np.ndarray, rng: RngStream):
@@ -528,5 +485,5 @@ def worker_views(model: ToyModel, images: np.ndarray, rng: RngStream):  # perfbe
     planted oracles and regression targets.
     """
     bound, secrets, rng = bound_views(model.input_dims, images, rng)
-    r, _ = _backbone_forward(model.params, bound)
+    r, _ = model.backbone.forward(bound)
     return bound, r, secrets, rng

@@ -3,12 +3,18 @@
 Everything here follows the textbook definitions with explicit loops and
 modular indexing, deliberately independent of any FFT code under test. The
 exceptions are the earlier fast paths kept as references for their
-replacements (the roll kernel, the per-replicate client), which are
-written on the public single-tensor ops.
+replacements (the roll kernel, the per-replicate client, the hard-wired
+toy backbone), which are written on the public ops.
 """
 
 import numpy as np
 
+from holobind.backbone import (
+    circconv_backward,
+    circconv_forward,
+    leaky_relu_backward,
+    leaky_relu_forward,
+)
 from holobind.errors import ProtocolError, RemoteFailureError
 from holobind.protocol import STATUS_OK, BoundRequest, decode_response, encode_request
 from holobind.trainer import _head_forward
@@ -148,6 +154,31 @@ def roll_circconv_backward(kernel, x, grad_out):
             g_shift = np.roll(grad_out, shift=(i - ch, j - cw), axis=(-3, -2))
             grad_input += g_shift @ kernel[i, j].T
     return grad_kernel, grad_input
+
+
+def reference_backbone_forward(params, xb, alpha=0.1):
+    """The toy backbone written out layer by layer, on a batch.
+
+    The trainer's earlier hard-wired forward, kept as the reference for the
+    trained model's BackboneSpec; returns (output, cache).
+    """
+    h1 = circconv_forward(params["conv1"], xb)
+    a1 = leaky_relu_forward(h1, alpha)
+    h2 = circconv_forward(params["conv2"], a1)
+    a2 = leaky_relu_forward(h2, alpha)
+    r = circconv_forward(params["conv3"], a2)
+    return r, (xb, h1, a1, h2, a2)
+
+
+def reference_backbone_backward(params, cache, grad_r, alpha=0.1):
+    """Kernel gradients of ``reference_backbone_forward``: (conv1, conv2, conv3)."""
+    xb, h1, a1, h2, a2 = cache
+    gk3, ga2 = circconv_backward(params["conv3"], a2, grad_r)
+    gh2 = leaky_relu_backward(h2, ga2, alpha)
+    gk2, ga1 = circconv_backward(params["conv2"], a1, gh2)
+    gh1 = leaky_relu_backward(h1, ga1, alpha)
+    gk1, _ = circconv_backward(params["conv1"], xb, gh1)
+    return gk1, gk2, gk3
 
 
 def per_replicate_client_infer(x, plan, model):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from holobind.backbone import (
 )
 from holobind.errors import ShapeError, SpecError
 from holobind.tensor import RngStream
+from holobind.trainer import init_toy_model
 from holobind.vsa import sample_secret
 
 from oracles import (
@@ -296,6 +299,64 @@ def test_dense_layer_output_dims():
     assert not spec.shape_preserving
     out = spec.apply(np.ones((4, 4, 1)))
     assert out.shape == (10,)
+
+
+def test_serialize_spec_refuses_trained_layers():
+    # a trained layer has no seed, so the text format cannot rebuild it
+    with pytest.raises(SpecError):
+        serialize_spec(init_toy_model(1).backbone)
+    with pytest.raises(SpecError):
+        serialize_spec(BackboneSpec((2, 2, 1), (DenseLayer(np.ones((3, 4))),)))
+
+
+# Every layer kind: identity; circconv2d on all three channel paths and
+# pointwise (the toy stack on two channels); dense.
+LAYER_KIND_SPECS = {
+    "identity": "input 4 4 2\nidentity\n",
+    "conv_pointwise": serialize_spec(toy_fw_spec((4, 4, 2))),
+    "dense": "input 4 4 2\ndense 6 32 3\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KIND_SPECS))
+def test_batched_forward_matches_per_item_apply(kind):
+    spec = parse_spec(LAYER_KIND_SPECS[kind])
+    batch = np.random.default_rng(12).normal(size=(5,) + spec.input_dims)
+    out, inputs = spec.forward(batch)
+    assert inputs == [] and out.shape == (5,) + spec.output_dims
+    for item, row in zip(batch, out):
+        assert np.array_equal(spec.apply(item), row)
+
+
+def test_spec_forward_rejects_wrong_item_dims():
+    with pytest.raises(ShapeError):
+        toy_fw_spec().forward(np.zeros((2, 8, 8, 1)))
+
+
+def test_spec_backward_matches_finite_differences():
+    spec = parse_spec("input 3 3 2\ncircconv2d 3 3 2 3 5\npointwise leaky_relu 0.1\n"
+                      "circconv2d 3 3 3 2 6\nidentity\ndense 4 18 7\n")
+    g = np.random.default_rng(14)
+    batch = g.normal(size=(2, 3, 3, 2))
+    up = g.normal(size=(2, 4))
+    _, inputs = spec.forward(batch, keep_inputs=True)
+    grads = spec.backward(inputs, up)
+    assert [grad is None for grad in grads] == [False, True, False, True, False]
+    for i, layer in enumerate(spec.layers):
+        if grads[i] is None:
+            continue
+        name = "kernel" if isinstance(layer, CircConv2d) else "weight"
+        weight = getattr(layer, name)
+
+        def loss(flat):
+            layers = list(spec.layers)
+            layers[i] = replace(layer, **{name: flat.reshape(weight.shape)})
+            out, _ = BackboneSpec(spec.input_dims, tuple(layers)).forward(batch)
+            return float(np.sum(out * up))
+
+        fd = central_difference_at(loss, weight.reshape(-1), range(0, weight.size, 5))
+        for j, val in fd.items():
+            assert abs(grads[i].reshape(-1)[j] - val) <= 1e-6 * max(1.0, abs(val))
 
 
 # --------------------------------------------------------------------- flops

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from holobind import trainer
 from holobind.backbone import identity_spec
 from holobind.protocol import LoopbackTransport, QueryPlan, client_infer
 from holobind.tensor import RngStream
@@ -51,3 +52,26 @@ def test_traced_query_runs_the_head_once(monkeypatch):
     assert abs(float(np.sum(dist)) - 1.0) <= 1e-12
     assert names.count("trainer.head") == 1
     assert names.count("protocol.encode") == 3 and names.count("protocol.decode") == 3
+
+
+def test_worker_hooks_install_restore_and_trace_the_model_backbone(monkeypatch):
+    # perfbench/worker.py wraps trainer.backbone_applier, circconv_forward
+    # and leaky_relu_forward by name for `holobind serve --model`.
+    _, tracer_mod = _perfbench(monkeypatch)
+    worker = importlib.import_module("worker")
+    tracer = tracer_mod.Tracer()
+    worker.install_worker_tracing(tracer)
+    originals = {}
+    for owner, attr, original in tracer._patches:
+        originals.setdefault((owner, attr), original)
+    try:
+        applier = trainer.backbone_applier(init_toy_model(12))
+        out = applier(np.ones((16, 16, 1)))
+    finally:
+        tracer.restore()
+    assert out.shape == (16, 16, 1)
+    assert [span.name for span in tracer.spans].count("backbone.apply") == 1
+    assert {attr for _, attr in originals} >= {
+        "backbone_applier", "circconv_forward", "leaky_relu_forward"}
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original, attr

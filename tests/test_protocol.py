@@ -140,6 +140,16 @@ def test_handler_apply_failure_status():
     assert resp.status == STATUS_APPLY_ERROR
 
 
+@pytest.mark.parametrize("dims", [(2, 16, 16, 1), (8, 8, 1), (64, 64, 1)])
+def test_handler_model_backbone_refuses_other_dims(dims):
+    # A --model worker runs the same strict BackboneSpec.apply as a --spec
+    # worker, so a payload of any other shape costs no backbone pass.
+    msg = encode_request(BoundRequest(4, np.zeros(dims)))
+    for applier in (backbone_applier(init_toy_model(7)), toy_fw_spec().apply):
+        resp = decode_response(handle_request_bytes(applier, msg))
+        assert resp.status == STATUS_APPLY_ERROR and resp.request_id == 4
+
+
 def test_handler_logs_metadata_never_payload(caplog):
     import logging
 
