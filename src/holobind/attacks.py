@@ -290,17 +290,21 @@ class InversionResult:
 
 
 def _frechet_score_and_mean_grad(z: np.ndarray, ref: GaussianStats):
-    """Score and per-point gradient of the Frechet distance of z's stats."""
+    """Score and per-point gradient of the Frechet distance of z's stats.
+
+    One eigendecomposition of S serves both, so the score is
+    ``frechet_distance`` with S's eigenvalues floored at 1e-12, not at 0.
+    """
     n = z.shape[0]
     stats = fit_gaussian_stats(z)
-    score = frechet_distance(stats, ref)
     # transport map T = S^-1/2 (S^1/2 R S^1/2)^1/2 S^-1/2; grad_S = I - T
-    sym = 0.5 * (stats.cov + stats.cov.T)
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(0.5 * (stats.cov + stats.cov.T))
     w = np.clip(w, 1e-12, None)
     root = (v * np.sqrt(w)) @ v.T
     inv_root = (v / np.sqrt(w)) @ v.T
     cross = _psd_sqrt(root @ ref.cov @ root)
+    mean_term = float(np.sum((stats.mean - ref.mean) ** 2))
+    score = mean_term + float(np.trace(stats.cov) + np.trace(ref.cov) - 2.0 * np.trace(cross))
     transport = inv_root @ cross @ inv_root
     grad_cov = np.eye(z.shape[1]) - transport
     centered = z - stats.mean

@@ -26,16 +26,16 @@ BIND_OPS = ("hrr2d", "hrr1d", "vtb", "ivtb", "hilbert")
 
 
 def _parse_dims(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.lower().split("x"))
-    except ValueError as err:
-        raise ParameterError(f"bad dims {text!r}, expected like 16x16x1") from err
+    dims = tuple(int(p) if p.isascii() and p.isdigit() else 0 for p in text.lower().split("x"))
+    if min(dims) < 1:
+        raise ParameterError(f"bad dims {text!r}, expected positive extents like 16x16x1")
+    return dims
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep:
-        raise ParameterError(f"bad endpoint {text!r}, expected host:port")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ParameterError(f"bad endpoint {text!r}, expected host:port with port 0-65535")
     return host, int(port)
 
 
@@ -90,37 +90,25 @@ def _vtb_secret_from_file(path, op):
     return secret
 
 
-def _cmd_bind(args):
+def _cmd_bind_or_unbind(args):
     x = read_tensor(getattr(args, "in"))
     s = read_tensor(args.secret)
+    undo = args.command == "unbind"
     if args.op == "hrr2d":
-        out = vsa.bind(x, s)
+        out = (vsa.unbind if undo else vsa.bind)(x, s)
     elif args.op == "hrr1d":
         if x.size != s.size:
             raise ShapeError(f"secret length {s.size} != input size {x.size}")
-        out = vsa.bind(x.reshape(-1), s.reshape(-1)).reshape(x.shape)
+        out = (vsa.unbind if undo else vsa.bind)(x.reshape(-1), s.reshape(-1)).reshape(x.shape)
     elif args.op in ("vtb", "ivtb"):
         secret = _vtb_secret_from_file(args.secret, args.op)
-        out = altbind.vtb_bind(x.reshape(-1), secret).reshape(x.shape)
-    else:  # hilbert
-        out = altbind.hilbert_hrr_bind(x, s.reshape(-1))
-    write_tensor(out, args.out)
-    return 0
-
-
-def _cmd_unbind(args):
-    b = read_tensor(getattr(args, "in"))
-    s = read_tensor(args.secret)
-    if args.op == "hrr2d":
-        out = vsa.unbind(b, s)
-    elif args.op == "hrr1d":
-        out = vsa.unbind(b.reshape(-1), s.reshape(-1)).reshape(b.shape)
-    elif args.op in ("vtb", "ivtb"):
-        secret = _vtb_secret_from_file(args.secret, args.op)
-        out = altbind.vtb_unbind(b.reshape(-1), secret).reshape(b.shape)
-    else:  # hilbert
+        op = altbind.vtb_unbind if undo else altbind.vtb_bind
+        out = op(x.reshape(-1), secret).reshape(x.shape)
+    elif undo:  # hilbert
         dims = _parse_dims(args.dims) if args.dims else None
-        out = altbind.hilbert_hrr_unbind(b, s.reshape(-1), dims)
+        out = altbind.hilbert_hrr_unbind(x, s.reshape(-1), dims)
+    else:
+        out = altbind.hilbert_hrr_bind(x, s.reshape(-1))
     write_tensor(out, args.out)
     return 0
 
@@ -140,13 +128,13 @@ def _cmd_probe(args):
 
 
 def _cmd_serve(args):
+    host, port = _parse_endpoint(args.listen)
     if args.model:
         applier = trainer.backbone_applier(trainer.load_model(args.model))
     elif args.spec:
         applier = backbone.load_spec(args.spec)
     else:
         raise ParameterError("serve needs --spec or --model")
-    host, port = _parse_endpoint(args.listen)
     protocol.worker_serve(applier, host, port)
     return 0
 
@@ -264,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--op", choices=("hrr", "vtb", "ivtb"), default="hrr")
 
-    for name, func in (("bind", _cmd_bind), ("unbind", _cmd_unbind)):
-        p = add(name, func, f"{name} a tensor file with a secret file")
+    for name in ("bind", "unbind"):
+        p = add(name, _cmd_bind_or_unbind, f"{name} a tensor file with a secret file")
         p.add_argument("--in", required=True)
         p.add_argument("--secret", required=True)
         p.add_argument("--out", required=True)

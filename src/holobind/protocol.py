@@ -8,8 +8,10 @@ serialize into any message: the worker only ever sees bound tensors.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
+import socketserver
 import struct
 import threading
 import time
@@ -87,6 +89,14 @@ def _parse_envelope(data: bytes, magic: bytes) -> tuple[int, int]:
     return request_id, status
 
 
+def _payload(data: bytes, kind: str) -> np.ndarray:
+    try:
+        return tensor_from_bytes(data[ENVELOPE_SIZE:])
+    except FormatError as err:
+        offset = ENVELOPE_SIZE + (err.offset or 0)
+        raise ProtocolError(f"bad {kind} container: {err}", offset=offset) from err
+
+
 def encode_request(req: BoundRequest) -> bytes:  # perfbench wraps this
     return _envelope(REQUEST_MAGIC, req.request_id, STATUS_OK) + \
         tensor_to_bytes(req.payload, "f32")
@@ -96,12 +106,7 @@ def decode_request(data: bytes) -> BoundRequest:
     request_id, status = _parse_envelope(data, REQUEST_MAGIC)
     if status != STATUS_OK:
         raise ProtocolError(f"request status must be 0, got {status}", offset=14)
-    try:
-        payload = tensor_from_bytes(data[ENVELOPE_SIZE:])
-    except FormatError as err:
-        offset = ENVELOPE_SIZE + (err.offset or 0)
-        raise ProtocolError(f"bad request container: {err}", offset=offset) from err
-    return BoundRequest(request_id, payload)
+    return BoundRequest(request_id, _payload(data, "request"))
 
 
 def encode_response(resp: BoundResponse) -> bytes:
@@ -117,12 +122,7 @@ def decode_response(data: bytes) -> BoundResponse:  # perfbench wraps this
         raise ProtocolError(f"unknown status {status}", offset=14)
     if status != STATUS_OK:
         return BoundResponse(request_id, status, None)
-    try:
-        payload = tensor_from_bytes(data[ENVELOPE_SIZE:])
-    except FormatError as err:
-        offset = ENVELOPE_SIZE + (err.offset or 0)
-        raise ProtocolError(f"bad response container: {err}", offset=offset) from err
-    return BoundResponse(request_id, status, payload)
+    return BoundResponse(request_id, status, _payload(data, "response"))
 
 
 def request_size(dims) -> int:
@@ -189,16 +189,18 @@ class TcpTransport(Transport):
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as err:
             raise TransportError(f"cannot connect to {host}:{port}: {err}") from err
+        self._rfile = self._sock.makefile("rb")
 
     def request(self, data: bytes) -> bytes:
         try:
             self._sock.sendall(struct.pack("<I", len(data)) + data)
-            return _read_frame(self._sock)
+            return _read_frame(self._rfile)
         except OSError as err:
             raise TransportError(f"transport failure: {err}") from err
 
     def close(self) -> None:
         if self._sock is not None:
+            self._rfile.close()
             self._sock.close()
             self._sock = None
 
@@ -227,35 +229,51 @@ class TranscriptRecorder(Transport):
 # Frames larger than this are treated as protocol abuse, not payloads.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+# A connection that sends nothing for this long is closed.
+IDLE_TIMEOUT_S = 30.0
 
-def _read_frame(sock) -> bytes:
-    header = _read_exact(sock, 4)
-    (length,) = struct.unpack("<I", header)
+
+def _read_frame(rfile) -> bytes:
+    """Read one length-prefixed frame from a buffered binary file."""
+    header = rfile.read(4)
+    length = int.from_bytes(header, "little")
     if length > MAX_FRAME_BYTES:
         raise TransportError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    return _read_exact(sock, length)
-
-
-def _read_exact(sock, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    message = rfile.read(length)
+    if len(header) < 4 or len(message) < length:
+        raise TransportError("connection closed mid-frame")
+    return message
 
 
 # -------------------------------------------------------------------- worker
 
-class WorkerServer:
-    """Threaded TCP worker: one handler thread per connection.
+class _FrameHandler(socketserver.StreamRequestHandler):
+    """Answers one connection's frames in order until it closes or idles."""
+
+    timeout = IDLE_TIMEOUT_S
+
+    def handle(self) -> None:
+        log.info("connection from %s:%d", *self.client_address[:2])
+        try:
+            while True:
+                message = _read_frame(self.rfile)
+                # a module-global lookup, so a replacement installed on the module is used
+                reply = handle_request_bytes(self.server.applier, message)
+                self.wfile.write(struct.pack("<I", len(reply)) + reply)
+        except (TransportError, OSError):  # closed, idle, over the cap or reset
+            return
+
+
+class WorkerServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP worker: one daemon handler thread per open connection.
 
     Handlers share only the immutable applier; per-request state is local,
     so interleaved requests from many connections are safe.
     """
+
+    daemon_threads = True
+    allow_reuse_address = True
+    request_queue_size = 128  # the listen() backlog; socketserver's default is 5
 
     def __init__(self, applier, host: str = "127.0.0.1", port: int = 0):
         if isinstance(applier, BackboneSpec):
@@ -265,57 +283,39 @@ class WorkerServer:
                 raise SpecError(f"cannot serve a spec that maps {applier.input_dims} "
                                 f"to {applier.output_dims}; the shape must be preserved")
             applier = applier.apply
-        self._applier = applier
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
-        self._threads: list[threading.Thread] = []
-        self._running = False
-        self._accept_thread = None
+        self.applier = applier
+        self._open = set()  # sockets of open connections, so stop() can wake them
+        self._loop = None
+        super().__init__((host, port), _FrameHandler)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
+        return self.server_address[:2]
 
     def start(self) -> "WorkerServer":
-        self._running = True
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        # the loop checks for a stop request every 0.1 s
+        self._loop = threading.Thread(target=self.serve_forever, args=(0.1,), daemon=True)
+        self._loop.start()
         return self
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return
-            log.info("connection from %s:%d", *peer[:2])
-            thread = threading.Thread(target=self._serve_connection, args=(conn,),
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+    def process_request(self, request, client_address) -> None:
+        self._open.add(request)
+        super().process_request(request, client_address)
 
-    def _serve_connection(self, conn) -> None:
-        with conn:
-            while self._running:
-                try:
-                    message = _read_frame(conn)
-                except TransportError:
-                    return
-                except OSError:
-                    return
-                reply = handle_request_bytes(self._applier, message)
-                try:
-                    conn.sendall(struct.pack("<I", len(reply)) + reply)
-                except OSError:
-                    return
+    def shutdown_request(self, request) -> None:
+        self._open.discard(request)
+        super().shutdown_request(request)
 
     def stop(self) -> None:
-        self._running = False
-        self._listener.close()
-        for thread in self._threads:
-            thread.join(timeout=1.0)
+        """Stop accepting, wake every handler, and close the listener."""
+        if self._loop is not None:  # shutdown() hangs if serve_forever never ran
+            self.shutdown()
+            self._loop.join()
+            self._loop = None
+        for conn in list(self._open):
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)  # a blocked read returns EOF
+        self.server_close()
 
     def __enter__(self):
         return self.start()
@@ -325,17 +325,13 @@ class WorkerServer:
 
 
 def worker_serve(applier, host: str = "127.0.0.1", port: int = 9741) -> None:
-    """Blocking serve loop for the CLI; stops on KeyboardInterrupt."""
+    """Blocking serve loop for the CLI; returns on KeyboardInterrupt."""
     server = WorkerServer(applier, host, port)
-    server.start()
     log.info("worker listening on %s:%d", *server.address)
     try:
-        while True:
-            time.sleep(0.5)
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.stop()
+        server.server_close()
 
 
 # -------------------------------------------------------------------- client
@@ -387,6 +383,8 @@ def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4,
     four transforms of every channel (secret, payload, reply, unbound reply) and
     the head; bias adds and pointwise ops are not counted.
     """
+    if k < 1:
+        raise ParameterError(f"replicate count must be >= 1, got {k}")
     dims = tuple(dims)
     head_flops = hidden * int(np.prod(dims)) + n_classes * hidden
     remote = k * count_flops(spec)

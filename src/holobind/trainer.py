@@ -16,7 +16,6 @@ same filter).
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -117,6 +116,7 @@ _PARAM_NAMES = _CONV_NAMES + (
     "p_w1", "p_b1", "p_w2", "p_b2",
     "a_w1", "a_b1", "a_w2", "a_b2",
 )
+_HIDDEN = 64
 
 
 @dataclass
@@ -142,27 +142,27 @@ class ToyModel:
         return conv_chain(self.input_dims, [CircConv2d(self.params[n]) for n in _CONV_NAMES])
 
 
-def init_toy_model(seed: int, n_classes: int = 4, dims=(16, 16, 1)) -> ToyModel:
+def _param_shapes(n_classes: int, dims) -> dict:
+    """The shape of every parameter, in ``_PARAM_NAMES`` order."""
     h, w, d = dims
-    flat = h * w * d
-    hidden = 64
+    shapes = {"conv1": (3, 3, d, 16), "conv2": (3, 3, 16, 16), "conv3": (3, 3, 16, d)}
+    for prefix in ("p", "a"):
+        shapes.update({f"{prefix}_w1": (_HIDDEN, h * w * d), f"{prefix}_b1": (_HIDDEN,),
+                       f"{prefix}_w2": (n_classes, _HIDDEN), f"{prefix}_b2": (n_classes,)})
+    return shapes
+
+
+def init_toy_model(seed: int, n_classes: int = 4, dims=(16, 16, 1)) -> ToyModel:
+    """Fan-in scaled Gaussian weights, drawn in ``_PARAM_NAMES`` order, zero biases."""
     rng = RngStream(seed)
     params = {}
-
-    def draw(name, shape, variance):
-        nonlocal rng
-        arr, rng = rng.normal(shape, variance)
-        params[name] = arr
-
-    draw("conv1", (3, 3, d, 16), 1.0 / (9 * d))
-    draw("conv2", (3, 3, 16, 16), 1.0 / (9 * 16))
-    draw("conv3", (3, 3, 16, d), 1.0 / (9 * 16))
-    for prefix in ("p", "a"):
-        # 0.75 input-layer gain from the committed calibration run
-        draw(f"{prefix}_w1", (hidden, flat), 0.75 / flat)
-        params[f"{prefix}_b1"] = np.zeros(hidden)
-        draw(f"{prefix}_w2", (n_classes, hidden), 1.0 / hidden)
-        params[f"{prefix}_b2"] = np.zeros(n_classes)
+    for name, shape in _param_shapes(n_classes, dims).items():
+        if name.endswith(("_b1", "_b2")):
+            params[name] = np.zeros(shape)
+            continue
+        fan_in = 9 * shape[2] if name in _CONV_NAMES else shape[1]
+        gain = 0.75 if name.endswith("_w1") else 1.0  # from the committed calibration run
+        params[name], rng = rng.normal(shape, gain / fan_in)
     return ToyModel(params, n_classes, tuple(dims), seed)
 
 
@@ -418,44 +418,55 @@ def linear_adversary_demo(data: SynthDataset, seed: int, mode: str = "fresh") ->
 
 def save_model(model: ToyModel, path) -> None:
     """Versioned binary model file: magic, config echo, named containers."""
-    out = io.BytesIO()
-    out.write(MODEL_MAGIC)
-    out.write(struct.pack("<H", MODEL_VERSION))
     h, w, d = model.input_dims
-    out.write(struct.pack("<IIIIq", model.n_classes, h, w, d, model.seed))
-    out.write(struct.pack("<I", len(model.params)))
+    out = [MODEL_MAGIC, struct.pack("<HIIIIqI", MODEL_VERSION, model.n_classes, h, w, d,
+                                    model.seed, len(model.params))]
     for name in _PARAM_NAMES:
         blob = tensor_to_bytes(model.params[name], "f64")
-        raw = name.encode()
-        out.write(struct.pack("<BI", len(raw), len(blob)))
-        out.write(raw)
-        out.write(blob)
+        out += [struct.pack("<BI", len(name), len(blob)), name.encode(), blob]
     with open(path, "wb") as fh:
-        fh.write(out.getvalue())
+        fh.write(b"".join(out))
 
 
 def load_model(path) -> ToyModel:
+    """Parse a model file; a malformed one raises FormatError at its byte offset.
+
+    Each parameter must have the shape ``init_toy_model`` gives the header.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MODEL_MAGIC:
+    pos = 0
+
+    def take(count):
+        nonlocal pos
+        if pos + count > len(data):
+            raise FormatError("model file is truncated", offset=len(data))
+        pos += count
+        return data[pos - count:pos]
+
+    if take(4) != MODEL_MAGIC:
         raise FormatError(f"bad model magic {data[:4]!r}", offset=0)
-    (version,) = struct.unpack_from("<H", data, 4)
+    version, n_classes, h, w, d, seed, count = struct.unpack("<HIIIIqI", take(30))
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}", offset=4)
-    n_classes, h, w, d, seed = struct.unpack_from("<IIIIq", data, 6)
-    (count,) = struct.unpack_from("<I", data, 30)
-    pos = 34
-    params = {}
+    shapes, params = _param_shapes(n_classes, (h, w, d)), {}
     for _ in range(count):
-        nlen, blen = struct.unpack_from("<BI", data, pos)
-        pos += 5
-        name = data[pos:pos + nlen].decode()
-        pos += nlen
-        params[name] = tensor_from_bytes(data[pos:pos + blen])
-        pos += blen
-    missing = set(_PARAM_NAMES) - set(params)
-    if missing:
-        raise FormatError(f"model file missing parameters {sorted(missing)}")
+        nlen, blen = struct.unpack("<BI", take(5))
+        name = take(nlen).decode(errors="replace")  # an undecodable name is unknown
+        if name not in shapes or name in params:
+            raise FormatError(f"unknown or repeated parameter {name!r}", offset=pos - nlen)
+        blob_at, blob = pos, take(blen)
+        try:
+            params[name] = tensor_from_bytes(blob)
+        except FormatError as err:
+            raise FormatError(f"bad {name} container", offset=blob_at + (err.offset or 0)) from err
+        if params[name].shape != shapes[name]:
+            raise FormatError(f"{name} has shape {params[name].shape}, expected "
+                              f"{shapes[name]}", offset=blob_at)
+    if len(params) < len(shapes):
+        raise FormatError(f"model file missing {sorted(set(shapes) - set(params))}", offset=pos)
+    if pos != len(data):
+        raise FormatError("trailing bytes after the last parameter", offset=pos)
     return ToyModel(params, n_classes, (h, w, d), seed)
 
 

@@ -276,6 +276,8 @@ def probe_curves(d: int = 1024, ks=(1, 2, 4, 8, 16, 32), n_seeds: int = 100,
     algebra on a sqrt(d) x sqrt(d) grid, other d fall back to 1D. Returns
     one row per (k, mode) with mean/std of both scores, ready for CSV.
     """
+    if d < 1 or n_seeds < 1:
+        raise ParameterError(f"probe needs d >= 1 and n_seeds >= 1, got {d} and {n_seeds}")
     dims = _probe_dims(int(d))
     var = 1.0 / int(d)
     rows = []

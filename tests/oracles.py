@@ -4,11 +4,13 @@ Everything here follows the textbook definitions with explicit loops and
 modular indexing, deliberately independent of any FFT code under test. The
 exceptions are the earlier fast paths kept as references for their
 replacements (the roll kernel, the per-replicate client, the hard-wired
-toy backbone), which are written on the public ops.
+toy backbone, the two-pass Frechet gradient), which are written on the
+public ops.
 """
 
 import numpy as np
 
+from holobind.attacks import _psd_sqrt, fit_gaussian_stats, frechet_distance
 from holobind.backbone import (
     circconv_backward,
     circconv_forward,
@@ -215,6 +217,26 @@ def per_replicate_client_infer(x, plan, model):
         distributions.append(probs[0])
     plan.rng = rng
     return np.mean(distributions, axis=0)
+
+
+def two_pass_frechet_score_and_mean_grad(z, ref):
+    """The inversion's Frechet score and gradient as two passes: the score
+    from ``frechet_distance``, then the same eigendecompositions again."""
+    n = z.shape[0]
+    stats = fit_gaussian_stats(z)
+    score = frechet_distance(stats, ref)
+    sym = 0.5 * (stats.cov + stats.cov.T)
+    w, v = np.linalg.eigh(sym)
+    w = np.clip(w, 1e-12, None)
+    root = (v * np.sqrt(w)) @ v.T
+    inv_root = (v / np.sqrt(w)) @ v.T
+    cross = _psd_sqrt(root @ ref.cov @ root)
+    transport = inv_root @ cross @ inv_root
+    grad_cov = np.eye(z.shape[1]) - transport
+    centered = z - stats.mean
+    grad_z = (2.0 / n) * (stats.mean - ref.mean)[None, :] + \
+        (2.0 / (n - 1)) * centered @ grad_cov.T
+    return score, grad_z
 
 
 def central_difference(f, x, eps=1e-5):

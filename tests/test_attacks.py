@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from holobind import attacks
 from holobind.attacks import (
     AttackReport,
     GaussianStats,
@@ -15,12 +16,15 @@ from holobind.attacks import (
     inversion_attack,
     kmeans,
     secret_regression_attack,
+    _frechet_score_and_mean_grad,
     strong_adversary,
 )
 from holobind.errors import ParameterError
 from holobind.tensor import RngStream
 from holobind.trainer import synth_dataset
 from holobind.vsa import Secret, bind, cosine, project, sample_secret
+
+from oracles import two_pass_frechet_score_and_mean_grad
 
 
 # ------------------------------------------------------------------- frechet
@@ -242,6 +246,25 @@ def test_inversion_score_decreases_from_random_init():
                               rng=RngStream(19), x_true=images[0])
     assert result.trajectory[-1] < result.trajectory[0]
     assert result.report.params["recovery_cosine"] == result.recovery_cosine
+
+
+def test_one_pass_frechet_gradient_matches_two_pass_bitwise(monkeypatch):
+    g = np.random.default_rng(40)
+    for case in range(50):
+        p = int(g.integers(2, 17))
+        z = g.normal(size=(int(g.integers(p + 2, 64)), p)) * g.uniform(0.1, 3.0, size=p)
+        ref = fit_gaussian_stats(g.normal(size=(3 * p, p)) + g.normal(size=p))
+        score, grad = _frechet_score_and_mean_grad(z, ref)
+        want_score, want_grad = two_pass_frechet_score_and_mean_grad(z, ref)
+        assert score == want_score and np.array_equal(grad, want_grad), case
+    # so a whole inversion takes the same steps to the same secret
+    _, _, bound, reference = _planted_setup(seed=18)
+    runs = []
+    for form in (_frechet_score_and_mean_grad, two_pass_frechet_score_and_mean_grad):
+        monkeypatch.setattr(attacks, "_frechet_score_and_mean_grad", form)
+        runs.append(inversion_attack(bound, reference, steps=40, lr=0.05, rng=RngStream(19)))
+    assert runs[0].trajectory == runs[1].trajectory
+    assert np.array_equal(runs[0].secret.tensor, runs[1].secret.tensor)
 
 
 def test_inversion_rejects_bad_shapes():

@@ -133,6 +133,46 @@ def test_missing_input_file_exits_1(tmp_path, capsys, option):
     assert "missing.file" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-secret", "--dims=-4x-4", "--out", "{tmp}/s.hbt"],
+    ["serve", "--spec", "{spec}", "--listen", "127.0.0.1:abc"],
+    ["serve", "--spec", "{spec}", "--listen", "127.0.0.1:99999"],
+    ["probe", "--d", "0"],
+    ["probe", "--d", "-4"],
+    ["probe", "--seeds", "0"],
+    ["bench", "--spec", "{spec}", "--dims", "16x16x1", "--k", "0"],
+], ids=["negative_dims", "port_not_a_number", "port_too_large", "probe_d_0",
+        "probe_d_negative", "probe_no_seeds", "bench_k_0"])
+def test_malformed_numbers_exit_1(tmp_path, capsys, argv):
+    spec_path = tmp_path / "id.spec"
+    spec_path.write_text("input 16 16 1\nidentity\n")
+    assert main([a.format(tmp=tmp_path, spec=spec_path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault", ["truncated", "wrong_shape_p_w1"])
+def test_malformed_model_file_exits_1(tmp_path, capsys, fault):
+    model_path = tmp_path / "toy.model"
+    model = init_toy_model(6)
+    if fault == "wrong_shape_p_w1":
+        model.params["p_w1"] = init_toy_model(6, dims=(8, 8, 1)).params["p_w1"]
+    save_model(model, model_path)
+    if fault == "truncated":
+        model_path.write_bytes(model_path.read_bytes()[:20])
+    x_path = tmp_path / "x.hbt"
+    write_tensor(np.ones((16, 16, 1)), x_path)
+    verbs = [["query", "--in", str(x_path), "--endpoint", "127.0.0.1:9",
+              "--model", str(model_path)]]
+    if fault == "truncated":  # a serve that loaded the model would block here
+        verbs.append(["serve", "--model", str(model_path), "--listen", "127.0.0.1:0"])
+    for argv in verbs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "byte" in err
+
+
 # ----------------------------------------------------------------- csv verbs
 
 def test_probe_csv(tmp_path):

@@ -1,10 +1,14 @@
+import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holobind import vsa
+from holobind import protocol, vsa
 from holobind.backbone import identity_spec, toy_fw_spec
 from holobind.errors import (
     DegenerateSpectrumError,
@@ -15,6 +19,7 @@ from holobind.errors import (
 )
 from holobind.protocol import (
     ENVELOPE_SIZE,
+    REQUEST_MAGIC,
     STATUS_APPLY_ERROR,
     STATUS_MALFORMED,
     STATUS_OK,
@@ -25,6 +30,7 @@ from holobind.protocol import (
     TcpTransport,
     TranscriptRecorder,
     WorkerServer,
+    _read_frame,
     client_infer,
     cost_report,
     decode_request,
@@ -387,7 +393,7 @@ def test_oversized_frame_rejected():
     try:
         a.sendall(struct_mod.pack("<I", MAX_FRAME_BYTES + 1))
         with pytest.raises(TransportError, match="cap"):
-            _read_frame(b)
+            _read_frame(b.makefile("rb"))
     finally:
         a.close()
         b.close()
@@ -404,6 +410,119 @@ def test_tcp_malformed_request_keeps_connection_usable():
             ok = decode_response(transport.request(encode_request(BoundRequest(2, payload))))
             assert ok.status == STATUS_OK
             assert np.array_equal(ok.payload, payload)
+
+
+def _frame(body):
+    return struct.pack("<I", len(body)) + body
+
+
+def _live_threads_since(before):
+    return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+_ONES_REQUEST = encode_request(BoundRequest(1, _f32(np.ones((4, 4, 1)))))
+
+
+def test_idle_client_is_dropped_while_another_is_served(monkeypatch):
+    assert protocol._FrameHandler.timeout == protocol.IDLE_TIMEOUT_S
+    monkeypatch.setattr(protocol._FrameHandler, "timeout", 0.2)
+    payload = _f32(np.arange(16.0).reshape(4, 4, 1))
+    request = encode_request(BoundRequest(3, payload))
+    with WorkerServer(identity_spec((4, 4, 1))) as server:
+        with socket.create_connection(server.address, timeout=5.0) as silent, \
+                TcpTransport(*server.address) as busy:
+            silent.sendall(struct.pack("<I", 100) + b"\x01" * 10)  # 10 of 100 bytes
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:  # outlive the silent client's timeout
+                resp = decode_response(busy.request(request))
+                assert resp.status == STATUS_OK and np.array_equal(resp.payload, payload)
+            assert silent.recv(1) == b""  # the worker closed the silent connection
+            assert decode_response(busy.request(request)).status == STATUS_OK
+
+
+@pytest.mark.parametrize("case", ["never_started", "idle", "client_mid_frame"])
+def test_stop_returns_promptly_and_leaves_no_server_thread(case):
+    before = set(threading.enumerate())
+    server = WorkerServer(identity_spec((4, 4, 1)))
+    client = None
+    if case != "never_started":
+        server.start()
+    if case == "client_mid_frame":
+        client = socket.create_connection(server.address, timeout=5.0)
+        client.sendall(_frame(_ONES_REQUEST))
+        assert decode_response(_read_frame(client.makefile("rb"))).status == STATUS_OK
+        client.sendall(struct.pack("<I", 100) + b"\x01" * 10)
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    start = time.monotonic()
+    stopper.start()
+    for thread in [stopper] + _live_threads_since(before):
+        thread.join(timeout=max(0.0, start + 1.0 - time.monotonic()))
+    assert time.monotonic() - start < 1.0
+    assert _live_threads_since(before) == []
+    assert server.socket.fileno() == -1  # the listener is closed
+    if client is not None:
+        client.close()
+
+
+def test_connect_close_cycles_leave_no_thread_or_connection_state():
+    with WorkerServer(identity_spec((4, 4, 1))) as server:
+        before = set(threading.enumerate())
+        for _ in range(1000):
+            socket.create_connection(server.address, timeout=5.0).close()
+        # accepted in order, so once this is answered every cycle was accepted
+        with TcpTransport(*server.address) as transport:
+            assert decode_response(transport.request(_ONES_REQUEST)).status == STATUS_OK
+        deadline = time.monotonic() + 5.0
+        while _live_threads_since(before) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert _live_threads_since(before) == []
+        held = {name: value for name, value in vars(server).items()
+                if isinstance(value, (list, set, dict)) and value}
+        assert held == {}  # nothing kept per connection outlives it
+
+
+_shapes = st.one_of(st.just((4, 4, 1)), st.lists(st.integers(1, 5), min_size=1,
+                                                  max_size=4).map(tuple))
+_valid_requests = st.builds(
+    lambda rid, dims, value: encode_request(BoundRequest(rid, np.full(dims, value))),
+    st.integers(0, 2 ** 64 - 1), _shapes, st.floats(-1e3, 1e3, width=32))
+_request_bodies = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda version, rid, status, rest:
+              REQUEST_MAGIC + struct.pack("<HQB3x", version, rid, status) + rest,
+              st.sampled_from([1, 2]), st.integers(0, 2 ** 64 - 1), st.integers(0, 2),
+              st.binary(max_size=96)),
+    _valid_requests,
+    st.builds(lambda data, at, byte: data[:at % len(data)] + bytes([byte]) +
+              data[at % len(data) + 1:],
+              _valid_requests, st.integers(0, 10 ** 6), st.integers(0, 255)),
+)
+
+
+def test_fuzzed_frames_never_break_the_worker():
+    applier = identity_spec((4, 4, 1)).apply
+    with WorkerServer(applier) as server:
+
+        @settings(max_examples=30, deadline=None)
+        @given(st.lists(_request_bodies, max_size=4), st.binary(max_size=8))
+        def exchange(bodies, tail):
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                rfile = sock.makefile("rb")
+                for body in bodies:
+                    sock.sendall(_frame(body))
+                    reply = _read_frame(rfile)
+                    assert decode_response(reply).status in (0, 1, 2)
+                    assert reply == handle_request_bytes(applier, body)
+                sock.sendall(tail)  # a partial or oversized frame, then a hang-up
+                rfile.close()
+
+        exchange()
+        assert server._loop.is_alive()
+        payload = _f32(np.arange(16.0).reshape(4, 4, 1))
+        with TcpTransport(*server.address) as transport:
+            resp = decode_response(transport.request(encode_request(BoundRequest(8, payload))))
+        assert resp.request_id == 8 and resp.status == STATUS_OK
+        assert np.array_equal(resp.payload, payload)
 
 
 # ------------------------------------------------------------ cost accounting

@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from holobind.errors import FormatError, ParameterError, TrainingDivergedError
-from holobind.tensor import RngStream
+from holobind.tensor import RngStream, tensor_to_bytes
 from holobind.trainer import (
+    _PARAM_NAMES,
+    MODEL_MAGIC,
     REVERSAL_WEIGHT,
     AdamState,
     ToyModel,
@@ -308,6 +312,68 @@ def test_model_file_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def _model_file(model, entries=None, tail=b""):
+    """Model file bytes laid out as save_model writes them, from any entries."""
+    if entries is None:
+        entries = [(n.encode(), tensor_to_bytes(model.params[n], "f64")) for n in _PARAM_NAMES]
+    h, w, d = model.input_dims
+    out = MODEL_MAGIC + struct.pack("<HIIIIqI", 1, model.n_classes, h, w, d, model.seed,
+                                    len(entries))
+    for raw, blob in entries:
+        out += struct.pack("<BI", len(raw), len(blob)) + raw + blob
+    return out + tail
+
+
+def test_model_file_layout_matches_save_model(tmp_path):
+    model = init_toy_model(8)
+    path = tmp_path / "toy.model"
+    save_model(model, path)
+    assert path.read_bytes() == _model_file(model)
+
+
+def test_truncated_model_file_is_format_error(tmp_path):
+    data = _model_file(init_toy_model(8))
+    first_blob = 34 + 5 + len(b"conv1")  # header, entry lengths, name
+    (blob_len,) = struct.unpack_from("<I", data, 35)
+    cuts = list(range(first_blob)) + [
+        first_blob + 3, first_blob + blob_len // 2, first_blob + blob_len - 1,
+        len(data) // 2, len(data) - 9, len(data) - 1]
+    path = tmp_path / "cut.model"
+    for cut in cuts:
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert err.value.offset is not None and 0 <= err.value.offset <= cut, cut
+
+
+def _faulty_entries(model, fault):
+    entries = [(n.encode(), tensor_to_bytes(model.params[n], "f64")) for n in _PARAM_NAMES]
+    if fault == "undecodable_name":
+        entries[0] = (b"\xff\xfe", entries[0][1])
+    elif fault == "unknown_name":
+        entries[0] = (b"conv9", entries[0][1])
+    elif fault == "duplicate_name":
+        entries.append(entries[0])
+    elif fault == "missing_name":
+        entries.pop()
+    elif fault == "wrong_shape_p_w1":
+        other = init_toy_model(8, dims=(8, 8, 1)).params["p_w1"]
+        entries[_PARAM_NAMES.index("p_w1")] = (b"p_w1", tensor_to_bytes(other, "f64"))
+    return entries
+
+
+@pytest.mark.parametrize("fault", ["undecodable_name", "unknown_name", "duplicate_name",
+                                   "missing_name", "wrong_shape_p_w1", "trailing_bytes"])
+def test_malformed_model_file_is_format_error(tmp_path, fault):
+    model = init_toy_model(8)
+    path = tmp_path / "bad.model"
+    tail = b"\x00" if fault == "trailing_bytes" else b""
+    path.write_bytes(_model_file(model, _faulty_entries(model, fault), tail))
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert 34 <= err.value.offset <= path.stat().st_size
 
 
 def test_bound_views_match_worker_views():
