@@ -20,6 +20,10 @@ from .vsa import bind, unbind
 
 LEAKY_ALPHA = 0.1  # negative slope of the toy backbone's and heads' leaky-relu
 
+# Items per block of an inference forward: a block's layer outputs stay in
+# cache, where a batch of hundreds spills them to memory between layers.
+FORWARD_BLOCK = 16
+
 
 # ------------------------------------------------------------ layer kernels
 
@@ -249,11 +253,16 @@ class BackboneSpec:
         """Forward of a batch of items; returns (outputs, layer inputs).
 
         The layer inputs, which ``backward`` needs, are kept only when
-        ``keep_inputs`` is set; otherwise each is freed once its layer ran.
+        ``keep_inputs`` is set. Otherwise no inputs are returned, and the
+        layers run over blocks of FORWARD_BLOCK items; every layer treats
+        items independently, so the outputs are those of one full pass.
         """
         t = np.asarray(batch, dtype=np.float64)
         if t.shape[1:] != self.input_dims:
             raise ShapeError(f"batch item dims {t.shape[1:]} != spec input {self.input_dims}")
+        if not keep_inputs and len(t) > FORWARD_BLOCK:
+            return np.concatenate([self.forward(t[i:i + FORWARD_BLOCK])[0]
+                                   for i in range(0, len(t), FORWARD_BLOCK)]), []
         inputs = []
         for layer in self.layers:
             if keep_inputs:

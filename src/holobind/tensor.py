@@ -8,6 +8,7 @@ with the binding algebra in ``vsa``.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ DTYPE_F64 = 2
 
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 _DTYPE_CODES = {"f32": DTYPE_F32, "f64": DTYPE_F64}
+
+_U64 = 0xFFFFFFFFFFFFFFFF
+# One Philox generator per thread. Each draw sets its whole state first, so
+# no draw depends on what an earlier one left behind.
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -35,8 +41,23 @@ class RngStream:
     counter: int = 0
 
     def _generator(self) -> np.random.Generator:
-        key = (int(self.seed) & 0xFFFFFFFFFFFFFFFF) + ((int(self.counter) & 0xFFFFFFFFFFFFFFFF) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """This thread's generator, re-keyed to (seed, counter).
+
+        A Philox stream is its key, so setting the key with a zero counter
+        and an empty buffer gives the draws of
+        ``Generator(Philox(key=seed + (counter << 64)))`` at a fraction of
+        the cost of building one.
+        """
+        gen = getattr(_THREAD, "generator", None)
+        if gen is None:
+            gen = _THREAD.generator = np.random.Generator(np.random.Philox())
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0),
+                      "key": (int(self.seed) & _U64, int(self.counter) & _U64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return gen
 
     def next(self) -> "RngStream":
         """Successor stream: same seed, counter advanced by one."""

@@ -118,8 +118,7 @@ def bind_transpose(g: np.ndarray, s) -> np.ndarray:
     return from_spectrum(spectrum(g) * np.conj(spectrum(st)))
 
 
-def _reciprocal_spectrum(st: np.ndarray) -> np.ndarray:
-    spec = spectrum(st)
+def _reciprocal(spec: np.ndarray) -> np.ndarray:
     _magnitudes(spec, NearSingularInverseError, "reciprocal inverse is near-singular")
     return 1.0 / spec
 
@@ -130,7 +129,7 @@ def inverse(s) -> "Secret | np.ndarray":
     For projected secrets the reciprocal equals the conjugate, so the
     inverse is projected too and is an involution.
     """
-    inv = from_spectrum(_reciprocal_spectrum(_secret_tensor(s)))
+    inv = from_spectrum(_reciprocal(spectrum(_secret_tensor(s))))
     return replace(s, tensor=inv) if isinstance(s, Secret) else inv
 
 
@@ -141,7 +140,7 @@ def unbind(b: np.ndarray, s) -> np.ndarray:
     retrieval from multi-term bundles degrades with term count.
     """
     b, st = _operands("unbind", b, s)
-    return from_spectrum(spectrum(b) * _reciprocal_spectrum(st))
+    return from_spectrum(spectrum(b) * _reciprocal(spectrum(st)))
 
 
 def _secret_dims(dims):
@@ -275,36 +274,39 @@ def probe_curves(d: int = 1024, ks=(1, 2, 4, 8, 16, 32), n_seeds: int = 100,
     present pair and one fresh absent pair. Perfect-square d runs the 2D
     algebra on a sqrt(d) x sqrt(d) grid, other d fall back to 1D. Returns
     one row per (k, mode) with mean/std of both scores, ready for CSV.
+
+    All seeds of one (mode, k) run as one batch, term by term over k. Each
+    item takes the arithmetic of ``bundle_add`` and ``presence_probe`` in
+    the same order, so the rows are bitwise those of the per-item loop.
     """
+    ks = [int(k) for k in ks]
     if d < 1 or n_seeds < 1:
         raise ParameterError(f"probe needs d >= 1 and n_seeds >= 1, got {d} and {n_seeds}")
+    if not ks or min(ks) < 1:
+        raise ParameterError(f"probe needs at least one bundle size, each >= 1, got {ks}")
     dims = _probe_dims(int(d))
-    var = 1.0 / int(d)
+    rank, var = len(dims), 1.0 / int(d)
     rows = []
     for mode_idx, mode in enumerate(modes):
         if mode not in ("projected", "naive"):
             raise ParameterError(f"unknown probe mode {mode!r}")
         projected = mode == "projected"
         for k_idx, k in enumerate(ks):
-            present, absent = [], []
-            for i in range(n_seeds):
-                # Disjoint counter blocks keep every (mode, k, seed) draw
-                # independent and reproducible.
-                base = ((mode_idx * 64 + k_idx) * n_seeds + i) * 4096
-                rng = RngStream(seed, counter=base)
-                bundle = Bundle.empty(dims)
-                pairs = []
-                for _ in range(int(k)):
-                    x, rng = _draw_probe_vector(dims, var, projected, rng)
-                    y, rng = _draw_probe_secret(dims, var, projected, rng)
-                    pairs.append((x, y))
-                    bundle = bundle_add(bundle, x, y)
-                xa, rng = _draw_probe_vector(dims, var, projected, rng)
-                ya, rng = _draw_probe_secret(dims, var, projected, rng)
-                present.append(presence_probe(bundle, pairs[0][1], pairs[0][0], projected))
-                absent.append(presence_probe(bundle, ya, xa, projected))
+            # Disjoint counter blocks keep every (mode, k, seed) draw
+            # independent and reproducible: pair j of a seed's bundle is
+            # drawn at base + 2j and base + 2j + 1, the absent pair after.
+            bases = ((mode_idx * 64 + k_idx) * n_seeds + np.arange(n_seeds)) * 4096
+            bundle = np.zeros((n_seeds,) + dims)
+            for j in range(k):
+                x, y_spec = _draw_probe_pairs(dims, var, projected, seed, bases + 2 * j)
+                bundle += from_spectrum(_product(spectrum(x, rank), y_spec), rank)
+                if j == 0:
+                    first = x, y_spec
+            xa, ya_spec = _draw_probe_pairs(dims, var, projected, seed, bases + 2 * k)
+            present = _probe_scores(bundle, *first, rank)
+            absent = _probe_scores(bundle, xa, ya_spec, rank)
             rows.append({
-                "k": int(k),
+                "k": k,
                 "mode": mode,
                 "present_mean": float(np.mean(present)),
                 "absent_mean": float(np.mean(absent)),
@@ -314,11 +316,27 @@ def probe_curves(d: int = 1024, ks=(1, 2, 4, 8, 16, 32), n_seeds: int = 100,
     return rows
 
 
-def _draw_probe_vector(dims, var, projected, rng):
-    raw, rng = rng.normal(dims, var)
-    return (project(raw) if projected else raw), rng
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a * b into a fresh array, as the per-item ops compute it. Written
+    # inline with a temporary over 256 KiB as b, numpy would compute b *= a
+    # in place, and with fused multiply-adds a complex product is not
+    # bitwise commutative.
+    return np.multiply(a, b, out=np.empty_like(a))
 
 
-def _draw_probe_secret(dims, var, projected, rng):
-    tensor, successor = _draw_probe_vector(dims, var, projected, rng)
-    return Secret(tensor, rng.seed, rng.counter, projected=projected), successor
+def _draw_probe_pairs(dims, var, projected, seed, counters):
+    """(x, spectrum of y) for a batch: x drawn at each counter, y at the next."""
+    rank = len(dims)
+    raw = np.empty((2, len(counters)) + dims)
+    for i, counter in enumerate(counters):
+        raw[0, i], successor = RngStream(seed, int(counter)).normal(dims, var)
+        raw[1, i], _ = successor.normal(dims, var)
+    if projected:
+        raw = from_spectrum(unit_spectrum(spectrum(raw, rank)), rank)
+    return raw[0], spectrum(raw[1], rank)
+
+
+def _probe_scores(bundle, x, y_spec, rank) -> list:
+    """cosine(unbind(bundle, y), x) for every item of a batch."""
+    retrieved = from_spectrum(_product(spectrum(bundle, rank), _reciprocal(y_spec)), rank)
+    return [cosine(r, xi) for r, xi in zip(retrieved, x)]

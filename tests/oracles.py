@@ -4,13 +4,18 @@ Everything here follows the textbook definitions with explicit loops and
 modular indexing, deliberately independent of any FFT code under test. The
 exceptions are the earlier fast paths kept as references for their
 replacements (the roll kernel, the per-replicate client, the hard-wired
-toy backbone, the two-pass Frechet gradient), which are written on the
-public ops.
+toy backbone, the two-pass Frechet gradient, the transform-based inversion
+objective, the per-item probe), which are written on the public ops.
 """
 
 import numpy as np
 
-from holobind.attacks import _psd_sqrt, fit_gaussian_stats, frechet_distance
+from holobind.attacks import (
+    _frechet_score_and_mean_grad,
+    _psd_sqrt,
+    fit_gaussian_stats,
+    frechet_distance,
+)
 from holobind.backbone import (
     circconv_backward,
     circconv_forward,
@@ -20,7 +25,20 @@ from holobind.backbone import (
 from holobind.errors import ProtocolError, RemoteFailureError
 from holobind.protocol import STATUS_OK, BoundRequest, decode_response, encode_request
 from holobind.trainer import _head_forward
-from holobind.vsa import bind, sample_secret, unbind
+from holobind.tensor import RngStream
+from holobind.vsa import (
+    Bundle,
+    Secret,
+    _probe_dims,
+    bind,
+    bundle_add,
+    from_spectrum,
+    presence_probe,
+    project,
+    sample_secret,
+    spectrum,
+    unbind,
+)
 
 
 def direct_dft2(t):
@@ -237,6 +255,64 @@ def two_pass_frechet_score_and_mean_grad(z, ref):
     grad_z = (2.0 / n) * (stats.mean - ref.mean)[None, :] + \
         (2.0 / (n - 1)) * centered @ grad_cov.T
     return score, grad_z
+
+
+def transform_inversion_objective(specs, reference):
+    """The inversion's score and gradient through explicit transforms.
+
+    The earlier form of ``attacks._inversion_objective``: unbind the batch
+    with psi, project onto the PCA components, and pull the gradient back
+    through one batched forward transform.
+    """
+    n, h, w = specs.shape
+
+    def score_and_grad(psi):
+        u = from_spectrum(specs * psi, 2)
+        z = reference.pca.project(u.reshape(n, -1))
+        score, grad_z = _frechet_score_and_mean_grad(z, reference.stats)
+        grad_u = (grad_z @ reference.pca.components).reshape(n, h, w)
+        grad_psi = np.sum(np.conj(specs) * spectrum(grad_u, 2), axis=0) / (h * w)
+        return score, grad_psi
+
+    return score_and_grad
+
+
+def per_item_probe_curves(d, ks, n_seeds, seed, modes=("projected", "naive")):
+    """``probe_curves`` one seed at a time through ``bundle_add`` and
+    ``presence_probe``: the earlier probe loop, with the same counters."""
+    dims = _probe_dims(int(d))
+    var = 1.0 / int(d)
+
+    def draw(projected, rng):
+        raw, successor = rng.normal(dims, var)
+        return (project(raw) if projected else raw), successor
+
+    rows = []
+    for mode_idx, mode in enumerate(modes):
+        projected = mode == "projected"
+        for k_idx, k in enumerate(ks):
+            present, absent = [], []
+            for i in range(n_seeds):
+                rng = RngStream(seed, counter=((mode_idx * 64 + k_idx) * n_seeds + i) * 4096)
+                bundle = Bundle.empty(dims)
+                pairs = []
+                for _ in range(k + 1):  # k bound pairs, then the absent pair
+                    x, rng = draw(projected, rng)
+                    y_tensor, rng = draw(projected, rng)
+                    pairs.append((x, Secret(y_tensor, projected=projected)))
+                    if len(pairs) <= k:
+                        bundle = bundle_add(bundle, *pairs[-1])
+                present.append(presence_probe(bundle, pairs[0][1], pairs[0][0], projected))
+                absent.append(presence_probe(bundle, pairs[-1][1], pairs[-1][0], projected))
+            rows.append({
+                "k": int(k),
+                "mode": mode,
+                "present_mean": float(np.mean(present)),
+                "absent_mean": float(np.mean(absent)),
+                "present_std": float(np.std(present)),
+                "absent_std": float(np.std(absent)),
+            })
+    return rows
 
 
 def central_difference(f, x, eps=1e-5):

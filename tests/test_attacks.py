@@ -19,12 +19,12 @@ from holobind.attacks import (
     _frechet_score_and_mean_grad,
     strong_adversary,
 )
-from holobind.errors import ParameterError
+from holobind.errors import ParameterError, ShapeError
 from holobind.tensor import RngStream
 from holobind.trainer import synth_dataset
-from holobind.vsa import Secret, bind, cosine, project, sample_secret
+from holobind.vsa import Secret, bind, cosine, project, sample_secret, spectrum, unit_spectrum
 
-from oracles import two_pass_frechet_score_and_mean_grad
+from oracles import transform_inversion_objective, two_pass_frechet_score_and_mean_grad
 
 
 # ------------------------------------------------------------------- frechet
@@ -271,6 +271,41 @@ def test_inversion_rejects_bad_shapes():
     reference = build_reference(np.random.default_rng(20).normal(size=(10, 4, 4)), p=4)
     with pytest.raises(Exception):
         inversion_attack(np.ones((4, 4)), reference, steps=1, lr=0.1, rng=RngStream(2))
+    with pytest.raises(ShapeError):  # a reference fitted on other-sized images
+        inversion_attack(np.ones((3, 8, 8)), reference, steps=1, lr=0.1, rng=RngStream(2))
+
+
+def test_parseval_inversion_objective_matches_the_transform_form():
+    _, _, bound, reference = _planted_setup(n=12, seed=41)
+    specs = spectrum(bound, 2)
+    fast = attacks._inversion_objective(specs, reference)
+    slow = transform_inversion_objective(specs, reference)
+    raw, _ = RngStream(42).normal((8, 8), 1.0)
+    psi = np.conj(unit_spectrum(spectrum(raw)))
+    for step in range(51):  # the inversion's update, scored both ways
+        score, grad = fast(psi)
+        want_score, want_grad = slow(psi)
+        assert abs(score - want_score) <= 1e-12 * abs(want_score), step
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), step
+        psi = unit_spectrum(psi - 0.05 * grad)
+    assert score < slow(np.conj(unit_spectrum(spectrum(raw))))[0]  # it did descend
+
+
+def test_inversion_gradient_passes_the_finite_difference_check(monkeypatch):
+    _, _, bound, reference = _planted_setup(seed=43)
+    checked = []
+    validate = attacks._validate_inversion_gradient
+    monkeypatch.setattr(attacks, "_validate_inversion_gradient",
+                        lambda *a, **kw: checked.append(validate(*a, **kw)))
+    inversion_attack(bound, reference, steps=3, lr=0.05, rng=RngStream(44),
+                     validate_gradient=True)
+    assert checked == [None]
+    # and the check does fail a wrong gradient
+    score_and_grad = attacks._inversion_objective(spectrum(bound, 2), reference)
+    psi = spectrum(RngStream(45).normal((8, 8), 1.0)[0])
+    with pytest.raises(ParameterError, match="gradient check failed"):
+        validate(lambda p: (score_and_grad(p)[0], 2.0 * score_and_grad(p)[1]), psi,
+                 RngStream(46))
 
 
 # ----------------------------------------------------------- secret regression

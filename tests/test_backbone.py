@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holobind.backbone import (
+    FORWARD_BLOCK,
     BackboneSpec,
     CircConv2d,
     DenseLayer,
@@ -318,14 +319,34 @@ LAYER_KIND_SPECS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LAYER_KIND_SPECS))
+def _kind_spec(kind):
+    return toy_fw_spec() if kind == "toy" else parse_spec(LAYER_KIND_SPECS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KIND_SPECS) + ["toy"])
 def test_batched_forward_matches_per_item_apply(kind):
-    spec = parse_spec(LAYER_KIND_SPECS[kind])
-    batch = np.random.default_rng(12).normal(size=(5,) + spec.input_dims)
-    out, inputs = spec.forward(batch)
-    assert inputs == [] and out.shape == (5,) + spec.output_dims
-    for item, row in zip(batch, out):
-        assert np.array_equal(spec.apply(item), row)
+    spec = _kind_spec(kind)
+    # 37 items run as blocks of FORWARD_BLOCK, the last one partial
+    assert 37 % FORWARD_BLOCK and 37 > 2 * FORWARD_BLOCK
+    for n in (5, 37):
+        batch = np.random.default_rng(12).normal(size=(n,) + spec.input_dims)
+        out, inputs = spec.forward(batch)
+        assert inputs == [] and out.shape == (n,) + spec.output_dims
+        for item, row in zip(batch, out):
+            assert np.array_equal(spec.apply(item), row)
+        assert np.array_equal(spec.forward(batch, keep_inputs=True)[0], out)
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KIND_SPECS) + ["toy"])
+def test_forward_keeping_inputs_returns_each_full_batch_input(kind):
+    spec = _kind_spec(kind)
+    batch = np.random.default_rng(13).normal(size=(37,) + spec.input_dims)
+    out, inputs = spec.forward(batch, keep_inputs=True)
+    assert len(inputs) == len(spec.layers)
+    assert np.array_equal(inputs[0], batch)
+    for layer, t, t_next in zip(spec.layers, inputs, inputs[1:] + [out]):
+        assert len(t) == 37
+        assert np.array_equal(layer.forward(t), t_next)
 
 
 def test_spec_forward_rejects_wrong_item_dims():

@@ -140,9 +140,12 @@ def test_missing_input_file_exits_1(tmp_path, capsys, option):
     ["probe", "--d", "0"],
     ["probe", "--d", "-4"],
     ["probe", "--seeds", "0"],
+    ["probe", "--kmax", "0"],
+    ["probe", "--kmax", "-3"],
     ["bench", "--spec", "{spec}", "--dims", "16x16x1", "--k", "0"],
 ], ids=["negative_dims", "port_not_a_number", "port_too_large", "probe_d_0",
-        "probe_d_negative", "probe_no_seeds", "bench_k_0"])
+        "probe_d_negative", "probe_no_seeds", "probe_kmax_0", "probe_kmax_negative",
+        "bench_k_0"])
 def test_malformed_numbers_exit_1(tmp_path, capsys, argv):
     spec_path = tmp_path / "id.spec"
     spec_path.write_text("input 16 16 1\nidentity\n")

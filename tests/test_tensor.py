@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +113,67 @@ def test_rng_stream_successor_differs():
     # replaying the original stream reproduces the first draw bitwise
     c, _ = RngStream(5).normal([8])
     assert np.array_equal(a, c)
+
+
+def _philox(seed, counter):
+    """A generator built afresh for (seed, counter), the stream's definition."""
+    u64 = 2 ** 64 - 1
+    return np.random.Generator(np.random.Philox(key=(seed & u64) + ((counter & u64) << 64)))
+
+
+_DRAWS = {  # name: (draw from a stream, the same draw from a Generator)
+    "normal": (lambda s: s.normal((5, 3), 2.0), lambda g: g.normal(0.0, np.sqrt(2.0), (5, 3))),
+    "uniform": (lambda s: s.uniform([7]), lambda g: g.uniform(0.0, 1.0, (7,))),
+    "integers_u32": (lambda s: s.integers(0, 7, 9), lambda g: g.integers(0, 7, 9)),
+    "integers_u64": (lambda s: s.integers(1, 2 ** 40, 5), lambda g: g.integers(1, 2 ** 40, 5)),
+    "permutation": (lambda s: s.permutation(20), lambda g: g.permutation(20)),
+}
+
+
+@pytest.mark.parametrize("counter", [0, (9 << 32) + 1, 2 ** 64 - 1])
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, -3])
+def test_rng_stream_draws_equal_a_freshly_built_philox(seed, counter):
+    for name, (draw, reference) in _DRAWS.items():
+        # odd-sized draws leave the thread's generator part-way through its
+        # 64-bit buffer and holding a spare 32-bit half
+        RngStream(1, 2).normal([3])
+        RngStream(1, 3).integers(0, 5, 3)
+        arr, successor = draw(RngStream(seed, counter))
+        assert np.array_equal(arr, reference(_philox(seed, counter))), name
+        assert successor == RngStream(seed, counter + 1)
+
+
+def test_rng_streams_in_concurrent_threads_match_sequential_draws():
+    def draws(seed):
+        out, rng = [], RngStream(seed)
+        for _ in range(2000):
+            a, rng = rng.normal([17])
+            b, rng = rng.integers(0, 5, 3)
+            out += [a, b]
+        return out
+
+    expected = [draws(seed) for seed in (1, 2)]
+    results = [None, None]
+    barrier = threading.Barrier(2, timeout=10.0)
+
+    def run(i):
+        barrier.wait()
+        results[i] = draws(i + 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between draws, not once per run
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_container_zero_tensor_size():

@@ -28,7 +28,12 @@ from holobind.vsa import (
     unbind,
 )
 
-from oracles import circulant_matrix, direct_circconv1d, direct_circconv2d
+from oracles import (
+    circulant_matrix,
+    direct_circconv1d,
+    direct_circconv2d,
+    per_item_probe_curves,
+)
 
 
 def _image_like(seed, dims):
@@ -373,3 +378,17 @@ def test_probe_curves_non_square_d_runs_1d():
 def test_probe_curves_rejects_unknown_mode():
     with pytest.raises(ParameterError):
         probe_curves(d=16, ks=(1,), n_seeds=2, seed=0, modes=("psychic",))
+
+
+@pytest.mark.parametrize("d", [64, 48])  # the 2D and the 1D algebra
+def test_probe_curves_equal_the_per_item_probe_bitwise(d):
+    rows = probe_curves(d=d, ks=(1, 3), n_seeds=7, seed=5)
+    assert rows == per_item_probe_curves(d, (1, 3), 7, 5)
+    assert [(r["k"], r["mode"]) for r in rows] == [
+        (1, "projected"), (3, "projected"), (1, "naive"), (3, "naive")]
+
+
+@pytest.mark.parametrize("ks", [(), (0,), (1, -2)])
+def test_probe_curves_rejects_bundle_sizes_below_1(ks):
+    with pytest.raises(ParameterError):
+        probe_curves(d=16, ks=ks, n_seeds=2, seed=0)
