@@ -7,6 +7,9 @@ the transpose per chunk works as an approximate inverse. The improved
 variant draws the block from a QR decomposition instead, making that
 inverse exact. The Hilbert route linearizes a 2^k x 2^k image along a
 space-filling curve and applies the ordinary 1D binding algebra.
+
+``operator_secret`` and ``operator_apply`` draw, bind and unbind under each
+of the ``OPERATORS`` (with 2D and 1D HRR) for the CLI and the ablation.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 from .tensor import RngStream
-from .vsa import Secret, bind, unbind
+from .vsa import _product, _reciprocal, _secret_tensor, bind, cosine, from_spectrum
+from .vsa import sample_secret, spectrum, unbind
 
 
 def _square_side(d: int) -> int:
@@ -34,6 +38,12 @@ class VtbSecret:
 
     vector: np.ndarray
     orthogonal: bool = False
+
+    def __post_init__(self):
+        if self.orthogonal:
+            block = self.block
+            if np.max(np.abs(block.T @ block - np.eye(block.shape[0]))) > 1e-9:
+                raise ParameterError("secret block is not orthogonal; not an ivtb secret")
 
     @property
     def block(self) -> np.ndarray:
@@ -130,75 +140,114 @@ def hilbert_map(order: int) -> HilbertMap:
 
 
 def _padded_order(h: int, w: int) -> int:
-    side = max(h, w)
-    order = max(1, int(np.ceil(np.log2(side))))
-    return order
+    return max(1, (max(h, w) - 1).bit_length())
 
 
 def hilbert_encode(img: np.ndarray) -> np.ndarray:
-    """Linearize a 2D image along the Hilbert curve.
+    """Linearize an HxW or HxWxC image along the Hilbert curve: (L,) or (L, C).
 
     Non-power-of-two inputs are zero-padded to the next 2^k square; callers
     keep the original dims for cropping on decode.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"hilbert_encode expects a 2D image, got {img.ndim}D")
-    h, w = img.shape
+    if img.ndim not in (2, 3):
+        raise ShapeError(f"hilbert_encode expects an HxW or HxWxC image, got {img.ndim}D")
+    h, w = img.shape[:2]
     order = _padded_order(h, w)
     side = 1 << order
-    if (h, w) != (side, side):
-        padded = np.zeros((side, side))
-        padded[:h, :w] = img
-        img = padded
+    img = np.pad(img, [(0, side - h), (0, side - w)] + [(0, 0)] * (img.ndim - 2))
     m = hilbert_map(order)
-    return img[m.forward[:, 0], m.forward[:, 1]].copy()
+    return img[m.forward[:, 0], m.forward[:, 1]]
 
 
 def hilbert_decode(vec: np.ndarray, dims=None) -> np.ndarray:
-    """Invert :func:`hilbert_encode`, cropping to ``dims`` when given."""
+    """Invert :func:`hilbert_encode` ((L,) or (L, C)), cropping to HxW ``dims`` when given."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ShapeError(f"hilbert_decode expects a 1D vector, got {vec.ndim}D")
-    side = int(round(np.sqrt(vec.size)))
-    if side * side != vec.size or side & (side - 1):
-        raise ShapeError(f"encoded length {vec.size} is not a power-of-four grid")
+    if vec.ndim not in (1, 2):
+        raise ShapeError(f"hilbert_decode expects an L or LxC encoding, got {vec.ndim}D")
+    side = int(round(np.sqrt(vec.shape[0])))
+    if side * side != vec.shape[0] or side & (side - 1):
+        raise ShapeError(f"encoded length {vec.shape[0]} is not a power-of-four grid")
     order = side.bit_length() - 1
     m = hilbert_map(order)
-    img = np.zeros((side, side))
+    img = np.zeros((side, side) + vec.shape[1:])
     img[m.forward[:, 0], m.forward[:, 1]] = vec
     if dims is not None:
-        h, w = dims
-        img = img[:h, :w].copy()
+        if len(dims) != 2 or not all(1 <= e <= side for e in dims):
+            raise ShapeError(f"crop dims {tuple(dims)} are not an HxW within {side}x{side}")
+        img = img[:dims[0], :dims[1]].copy()
     return img
 
 
+def _bind_columns(cols: np.ndarray, s1d, undo: bool) -> np.ndarray:
+    """1D-bind, or unbind, every column of an (L,) or (L, C) encoding with the one key."""
+    key = _secret_tensor(s1d)
+    if key.shape != cols.shape[:1]:
+        raise ShapeError(f"secret length {key.shape} != encoded length {cols.shape[:1]}")
+    key_spec = _reciprocal(spectrum(key)) if undo else spectrum(key)
+    # rows are channels: each row's product sees the contiguous operands of a one-channel bind
+    return from_spectrum(_product(spectrum(cols.T, 1), key_spec), 1).T
+
+
 def hilbert_hrr_bind(img: np.ndarray, s1d) -> np.ndarray:
-    """1D-bind the Hilbert linearization; channels bind independently."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 3:
-        cols = [hilbert_hrr_bind(img[..., c], s1d) for c in range(img.shape[-1])]
-        return np.stack(cols, axis=-1)
-    encoded = hilbert_encode(img)
-    st = s1d.tensor if isinstance(s1d, Secret) else np.asarray(s1d)
-    if st.shape != encoded.shape:
-        raise ShapeError(f"secret length {st.shape} != encoded length {encoded.shape}")
-    return bind(encoded, s1d)
+    """1D-bind the Hilbert linearization; every channel binds with the one key."""
+    return np.ascontiguousarray(_bind_columns(hilbert_encode(img), s1d, undo=False))
 
 
 def hilbert_hrr_unbind(bound: np.ndarray, s1d, dims) -> np.ndarray:
-    """Retrieve the image: 1D-unbind then decode and crop to ``dims``."""
-    bound = np.asarray(bound, dtype=np.float64)
-    if bound.ndim == 2:
-        chans = [hilbert_hrr_unbind(bound[..., c], s1d, dims) for c in range(bound.shape[-1])]
-        return np.stack(chans, axis=-1)
-    return hilbert_decode(unbind(bound, s1d), dims)
+    """Retrieve the image: 1D-unbind every channel, then decode and crop to ``dims``."""
+    return hilbert_decode(_bind_columns(np.asarray(bound), s1d, undo=True), dims)
+
+
+# ----------------------------------------------------------------- operators
+
+OPERATORS = ("hrr2d", "hrr1d", "vtb", "ivtb", "hilbert")
+
+
+def operator_secret(op: str, dims, rng: RngStream) -> tuple[np.ndarray, RngStream]:
+    """Draw ``op``'s key for a tensor of extents ``dims``; returns (key, successor).
+
+    An hrr2d key has the extents ``dims``; an hrr1d, vtb or ivtb key is one
+    vector of the tensor's size; a hilbert key spans the padded curve of the
+    image's HxW. Keys are plain arrays, the form they take on disk.
+    """
+    if op not in OPERATORS:
+        raise ParameterError(f"unknown binding operator {op!r}")
+    if op in ("vtb", "ivtb"):
+        maker = ivtb_secret if op == "ivtb" else vtb_secret
+        secret, rng = maker(int(np.prod(dims)), rng)
+        return secret.vector, rng
+    if op == "hrr1d":
+        dims = (int(np.prod(dims)),)
+    elif op == "hilbert":
+        dims = hilbert_encode(np.zeros(tuple(dims)[:2])).shape
+    secret, rng = sample_secret(dims, rng)
+    return secret.tensor, rng
+
+
+def operator_apply(op: str, x: np.ndarray, s, undo: bool = False, dims=None) -> np.ndarray:
+    """Bind ``x`` with the key ``s`` under ``op``, or unbind it when ``undo``.
+
+    Flat operators keep ``x``'s shape. A hilbert bind gives (L,) or (L, C),
+    and its unbind crops to the HxW ``dims`` when given; other operators
+    ignore ``dims``.
+    """
+    x, s = np.asarray(x), np.asarray(s)
+    if op == "hrr2d":
+        return (unbind if undo else bind)(x, s)
+    if op == "hrr1d":
+        return (unbind if undo else bind)(x.reshape(-1), s.reshape(-1)).reshape(x.shape)
+    if op in ("vtb", "ivtb"):
+        secret = VtbSecret(s.reshape(-1), orthogonal=op == "ivtb")
+        return (vtb_unbind if undo else vtb_bind)(x.reshape(-1), secret).reshape(x.shape)
+    if op == "hilbert":
+        if undo:
+            return hilbert_hrr_unbind(x, s.reshape(-1), dims)
+        return hilbert_hrr_bind(x, s.reshape(-1))
+    raise ParameterError(f"unknown binding operator {op!r}")
 
 
 # ------------------------------------------------------------------ ablation
-
-ABLATION_OPERATORS = ("hrr2d", "hrr1d", "vtb", "ivtb", "hilbert")
-
 
 def ablation_rows(seed: int = 0, side: int = 16) -> list[dict]:
     """Bind/retrieve one image under every operator; rows ready for CSV.
@@ -206,42 +255,19 @@ def ablation_rows(seed: int = 0, side: int = 16) -> list[dict]:
     reconstruction_cosine compares the retrieved image with the original;
     bound_input_cosine shows how little the bound tensor resembles it.
     """
-    from .tensor import RngStream
-    from .vsa import cosine, sample_secret
-
     rng = RngStream(seed)
     img, rng = rng.normal((side, side), 1.0)
     img /= np.linalg.norm(img)
     noise, rng = rng.normal((side, side), 0.09)
     img = img + noise
-    flat = img.reshape(-1)
-    d = flat.size
     rows = []
-    for op in ABLATION_OPERATORS:
-        if op == "hrr2d":
-            s, rng = sample_secret((side, side), rng)
-            bound = bind(img, s)
-            rec = unbind(bound, s)
-            b_flat, rec_img = bound.reshape(-1), rec
-        elif op == "hrr1d":
-            s, rng = sample_secret((d,), rng)
-            bound = bind(flat, s)
-            rec = unbind(bound, s)
-            b_flat, rec_img = bound, rec.reshape(side, side)
-        elif op in ("vtb", "ivtb"):
-            maker = ivtb_secret if op == "ivtb" else vtb_secret
-            s, rng = maker(d, rng)
-            bound = vtb_bind(flat, s)
-            rec = vtb_unbind(bound, s)
-            b_flat, rec_img = bound, rec.reshape(side, side)
-        else:  # hilbert
-            s, rng = sample_secret((d,), rng)
-            bound = hilbert_hrr_bind(img, s)
-            rec = hilbert_hrr_unbind(bound, s, (side, side))
-            b_flat, rec_img = bound, rec
+    for op in OPERATORS:
+        key, rng = operator_secret(op, img.shape, rng)
+        bound = operator_apply(op, img, key)
+        rec = operator_apply(op, bound, key, undo=True, dims=img.shape)
         rows.append({
             "operator": op,
-            "reconstruction_cosine": cosine(img, rec_img),
-            "bound_input_cosine": cosine(flat, b_flat),
+            "reconstruction_cosine": cosine(img, rec),
+            "bound_input_cosine": cosine(img.reshape(-1), bound.reshape(-1)),
         })
     return rows

@@ -19,7 +19,7 @@ from .errors import ParameterError, ShapeError
 from .tensor import RngStream
 # Imported by name, so a benchmark that wraps trainer.adam_step times only
 # the training steps.
-from .trainer import AdamState, _head_backward, _head_forward, adam_step
+from .trainer import _HIDDEN, AdamState, _head_backward, _head_forward, adam_step
 from .vsa import Secret, cosine, from_spectrum, spectrum, unbind, unit_spectrum
 
 EPS_PSD = 1e-8
@@ -40,9 +40,8 @@ class AttackReport:
     params: dict = field(default_factory=dict)
 
 
-def _verdict(score: float, threshold: float, defense_holds_below: bool = True) -> str:
-    holds = score <= threshold if defense_holds_below else score >= threshold
-    return "pass" if holds else "fail"
+def _verdict(score: float, threshold: float) -> str:
+    return "pass" if score <= threshold else "fail"
 
 
 # ------------------------------------------------------------ gaussian stats
@@ -201,11 +200,10 @@ def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32,
                       lr=1e-3):  # perfbench wraps this
     """Train a head with the adversarial architecture from scratch; returns its predictor."""
     n, d = x_flat.shape
-    hidden = 64
     rng = RngStream(seed, counter=7 << 32)
-    w1, rng = rng.normal((hidden, d), 2.0 / d)
-    w2, rng = rng.normal((n_classes, hidden), 1.0 / hidden)
-    params = {"a_w1": w1, "a_b1": np.zeros(hidden), "a_w2": w2, "a_b2": np.zeros(n_classes)}
+    w1, rng = rng.normal((_HIDDEN, d), 2.0 / d)
+    w2, rng = rng.normal((n_classes, _HIDDEN), 1.0 / _HIDDEN)
+    params = {"a_w1": w1, "a_b1": np.zeros(_HIDDEN), "a_w2": w2, "a_b2": np.zeros(n_classes)}
     state = AdamState.zeros_like(params)
     for _ in range(epochs):
         order, rng = rng.permutation(n)

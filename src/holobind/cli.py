@@ -17,12 +17,10 @@ import sys
 import numpy as np
 
 from . import altbind, attacks, backbone, protocol, trainer, vsa
-from .errors import HolobindError, ParameterError, ShapeError
+from .errors import HolobindError, ParameterError
 from .tensor import RngStream, read_tensor, write_tensor
 
 DEFAULT_DATA_SEED = 2  # committed synthetic-dataset seed
-
-BIND_OPS = ("hrr2d", "hrr1d", "vtb", "ivtb", "hilbert")
 
 
 def _parse_dims(text: str) -> tuple:
@@ -68,47 +66,17 @@ def _write_csv(path, fieldnames, rows):
 def _cmd_gen_secret(args):
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
-    rng = RngStream(seed)
-    if args.op in ("vtb", "ivtb"):
-        d = int(np.prod(dims))
-        maker = altbind.ivtb_secret if args.op == "ivtb" else altbind.vtb_secret
-        secret, _ = maker(d, rng)
-        write_tensor(secret.vector, args.out)
-    else:
-        secret, _ = vsa.sample_secret(dims, rng)
-        write_tensor(secret.tensor, args.out)
+    op = "hrr2d" if args.op == "hrr" else args.op
+    key, _ = altbind.operator_secret(op, dims, RngStream(seed))
+    write_tensor(key, args.out)
     return 0
-
-
-def _vtb_secret_from_file(path, op):
-    vec = read_tensor(path).reshape(-1)
-    secret = altbind.VtbSecret(vec, orthogonal=(op == "ivtb"))
-    if op == "ivtb":
-        block = secret.block
-        if np.max(np.abs(block.T @ block - np.eye(block.shape[0]))) > 1e-9:
-            raise ParameterError("secret block is not orthogonal; not an ivtb secret")
-    return secret
 
 
 def _cmd_bind_or_unbind(args):
     x = read_tensor(getattr(args, "in"))
     s = read_tensor(args.secret)
-    undo = args.command == "unbind"
-    if args.op == "hrr2d":
-        out = (vsa.unbind if undo else vsa.bind)(x, s)
-    elif args.op == "hrr1d":
-        if x.size != s.size:
-            raise ShapeError(f"secret length {s.size} != input size {x.size}")
-        out = (vsa.unbind if undo else vsa.bind)(x.reshape(-1), s.reshape(-1)).reshape(x.shape)
-    elif args.op in ("vtb", "ivtb"):
-        secret = _vtb_secret_from_file(args.secret, args.op)
-        op = altbind.vtb_unbind if undo else altbind.vtb_bind
-        out = op(x.reshape(-1), secret).reshape(x.shape)
-    elif undo:  # hilbert
-        dims = _parse_dims(args.dims) if args.dims else None
-        out = altbind.hilbert_hrr_unbind(x, s.reshape(-1), dims)
-    else:
-        out = altbind.hilbert_hrr_bind(x, s.reshape(-1))
+    dims = _parse_dims(args.dims) if getattr(args, "dims", None) else None
+    out = altbind.operator_apply(args.op, x, s, undo=args.command == "unbind", dims=dims)
     write_tensor(out, args.out)
     return 0
 
@@ -257,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", required=True)
         p.add_argument("--secret", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--op", choices=BIND_OPS, default="hrr2d")
+        p.add_argument("--op", choices=altbind.OPERATORS, default="hrr2d")
         if name == "unbind":
             p.add_argument("--dims", default=None,
                            help="original HxW for hilbert decode cropping")

@@ -25,10 +25,12 @@ from .errors import (
     ParameterError,
     ProtocolError,
     RemoteFailureError,
+    ShapeError,
     SpecError,
     TransportError,
 )
 from .tensor import RngStream, container_size, tensor_from_bytes, tensor_to_bytes
+from .trainer import _HIDDEN
 from .vsa import from_spectrum, sample_secret_spectra, spectrum
 from .vsa import bind, sample_secret, unbind  # unused here; perfbench wraps them
 
@@ -375,18 +377,20 @@ def client_infer(x: np.ndarray, plan: QueryPlan, model) -> np.ndarray:
 
 # ------------------------------------------------------------ cost accounting
 
-def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4,
-                hidden: int = 64) -> FlopReport:
-    """Remote/local multiply-add split and traffic for k replicates.
+def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4) -> FlopReport:
+    """Remote/local multiply-add split and traffic for k replicates of ``dims`` inputs.
 
     Remote is k backbone passes. Local is one transform of x, then per replicate
     four transforms of every channel (secret, payload, reply, unbound reply) and
-    the head; bias adds and pointwise ops are not counted.
+    the head; bias adds and pointwise ops are not counted. ``dims`` must be the
+    spec's input extents.
     """
     if k < 1:
         raise ParameterError(f"replicate count must be >= 1, got {k}")
     dims = tuple(dims)
-    head_flops = hidden * int(np.prod(dims)) + n_classes * hidden
+    if dims != spec.input_dims:
+        raise ShapeError(f"dims {dims} != spec input {spec.input_dims}")
+    head_flops = _HIDDEN * int(np.prod(dims)) + n_classes * _HIDDEN
     remote = k * count_flops(spec)
     one_transform = transform_cost(dims) // 3  # transform_cost counts three
     local = (1 + 4 * k) * one_transform + k * head_flops

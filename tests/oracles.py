@@ -5,11 +5,20 @@ modular indexing, deliberately independent of any FFT code under test. The
 exceptions are the earlier fast paths kept as references for their
 replacements (the roll kernel, the per-replicate client, the hard-wired
 toy backbone, the two-pass Frechet gradient, the transform-based inversion
-objective, the per-item probe), which are written on the public ops.
+objective, the per-item probe, the per-channel Hilbert route and the
+ablation's own operator dispatch), which are written on the public ops.
 """
 
 import numpy as np
 
+from holobind.altbind import (
+    hilbert_decode,
+    hilbert_encode,
+    ivtb_secret,
+    vtb_bind,
+    vtb_secret,
+    vtb_unbind,
+)
 from holobind.attacks import (
     _frechet_score_and_mean_grad,
     _psd_sqrt,
@@ -32,6 +41,7 @@ from holobind.vsa import (
     _probe_dims,
     bind,
     bundle_add,
+    cosine,
     from_spectrum,
     presence_probe,
     project,
@@ -312,6 +322,61 @@ def per_item_probe_curves(d, ks, n_seeds, seed, modes=("projected", "naive")):
                 "present_std": float(np.std(present)),
                 "absent_std": float(np.std(absent)),
             })
+    return rows
+
+
+def per_channel_hilbert_bind(img, s1d):
+    """The earlier Hilbert bind: each channel encoded and 1D-bound on its own."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim == 3:
+        cols = [per_channel_hilbert_bind(img[..., c], s1d) for c in range(img.shape[-1])]
+        return np.stack(cols, axis=-1)
+    return bind(hilbert_encode(img), s1d)
+
+
+def per_channel_hilbert_unbind(bound, s1d, dims):
+    """The earlier Hilbert unbind: each channel column 1D-unbound and decoded on its own."""
+    bound = np.asarray(bound, dtype=np.float64)
+    if bound.ndim == 2:
+        chans = [per_channel_hilbert_unbind(bound[..., c], s1d, dims)
+                 for c in range(bound.shape[-1])]
+        return np.stack(chans, axis=-1)
+    return hilbert_decode(unbind(bound, s1d), dims)
+
+
+def five_way_ablation_rows(seed=0, side=16):
+    """``ablation_rows`` with the ablation's own branch per operator, as it
+    was before the operators got one dispatcher."""
+    rng = RngStream(seed)
+    img, rng = rng.normal((side, side), 1.0)
+    img /= np.linalg.norm(img)
+    noise, rng = rng.normal((side, side), 0.09)
+    img = img + noise
+    flat = img.reshape(-1)
+    d = flat.size
+    rows = []
+    for op in ("hrr2d", "hrr1d", "vtb", "ivtb", "hilbert"):
+        if op == "hrr2d":
+            s, rng = sample_secret((side, side), rng)
+            bound = bind(img, s)
+            b_flat, rec_img = bound.reshape(-1), unbind(bound, s)
+        elif op == "hrr1d":
+            s, rng = sample_secret((d,), rng)
+            bound = bind(flat, s)
+            b_flat, rec_img = bound, unbind(bound, s).reshape(side, side)
+        elif op in ("vtb", "ivtb"):
+            s, rng = (ivtb_secret if op == "ivtb" else vtb_secret)(d, rng)
+            bound = vtb_bind(flat, s)
+            b_flat, rec_img = bound, vtb_unbind(bound, s).reshape(side, side)
+        else:
+            s, rng = sample_secret((d,), rng)
+            bound = per_channel_hilbert_bind(img, s)
+            b_flat, rec_img = bound, per_channel_hilbert_unbind(bound, s, (side, side))
+        rows.append({
+            "operator": op,
+            "reconstruction_cosine": cosine(img, rec_img),
+            "bound_input_cosine": cosine(flat, b_flat),
+        })
     return rows
 
 

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from holobind.altbind import (
+    OPERATORS,
     VtbSecret,
+    ablation_rows,
     hilbert_decode,
     hilbert_encode,
     hilbert_hrr_bind,
     hilbert_hrr_unbind,
     hilbert_map,
     ivtb_secret,
+    operator_apply,
+    operator_secret,
     vtb_bind,
     vtb_secret,
     vtb_unbind,
 )
-from holobind.errors import ShapeError
+from holobind.errors import NearSingularInverseError, ParameterError, ShapeError
 from holobind.tensor import RngStream
 from holobind.vsa import cosine, sample_secret
+from oracles import five_way_ablation_rows, per_channel_hilbert_bind, per_channel_hilbert_unbind
 
 
 # ----------------------------------------------------------------------- VTB
@@ -97,6 +102,12 @@ def test_ivtb_exact_round_trip(d):
     assert np.max(np.abs(vtb_unbind(vtb_bind(x, y), y) - x)) <= 1e-9
 
 
+def test_ivtb_secret_refuses_a_block_that_is_not_orthogonal():
+    plain, _ = vtb_secret(64, RngStream(4))
+    with pytest.raises(ParameterError, match="not orthogonal"):
+        VtbSecret(plain.vector, orthogonal=True)
+
+
 def test_plain_vtb_error_exceeds_ivtb_on_matched_seeds():
     for seed in range(20):
         x = np.random.default_rng(seed).normal(size=64)
@@ -175,3 +186,81 @@ def test_hilbert_hrr_length_mismatch():
     s, _ = sample_secret([64], RngStream(8))
     with pytest.raises(ShapeError):
         hilbert_hrr_bind(np.zeros((16, 16)), s)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3), (28, 28), (28, 28, 2), (5, 7),
+                                   (5, 7, 3), (16, 16, 1)])
+def test_hilbert_hrr_equals_the_per_channel_route_bitwise(shape):
+    side = 1 << max(1, (max(shape[:2]) - 1).bit_length())
+    for seed in range(3):
+        img = np.random.default_rng(seed).normal(size=shape)
+        s, _ = sample_secret([side * side], RngStream(40 + seed))
+        bound = hilbert_hrr_bind(img, s)
+        expected = per_channel_hilbert_bind(img, s)
+        assert bound.shape == expected.shape and np.array_equal(bound, expected)
+        for dims in (shape[:2], None):
+            back = hilbert_hrr_unbind(bound, s, dims)
+            oracle = per_channel_hilbert_unbind(expected, s, dims)
+            assert back.shape == oracle.shape and np.array_equal(back, oracle)
+        assert np.max(np.abs(hilbert_hrr_unbind(bound, s, shape[:2]) - img)) <= 1e-9
+
+
+def test_hilbert_channels_encode_and_decode_in_one_pass():
+    img = np.random.default_rng(11).normal(size=(5, 7, 3))
+    vec = hilbert_encode(img)
+    assert vec.shape == (64, 3)
+    for c in range(3):
+        assert np.array_equal(vec[:, c], hilbert_encode(img[..., c]))
+    assert np.array_equal(hilbert_decode(vec, dims=(5, 7)), img)
+    full = hilbert_decode(vec)  # the padding is zeros in every channel
+    assert full.shape == (8, 8, 3) and not full[5:].any() and not full[:, 7:].any()
+
+
+@pytest.mark.parametrize("dims", [(20, 20), (16, 17), (0, 4), (16, 16, 3)])
+def test_hilbert_decode_refuses_crop_dims_outside_the_grid(dims):
+    vec = hilbert_encode(np.ones((16, 16)))
+    with pytest.raises(ShapeError, match="crop dims"):
+        hilbert_decode(vec, dims=dims)
+
+
+def test_hilbert_unbind_keeps_the_near_singular_refusal():
+    key = np.zeros(256)
+    key[0], key[1] = 1.0, 1.0  # the spectrum 1 + e^{-i w} vanishes at w = pi
+    bound = hilbert_hrr_bind(np.ones((16, 16, 2)), key)
+    with pytest.raises(NearSingularInverseError):
+        hilbert_hrr_unbind(bound, key, (16, 16))
+
+
+# ------------------------------------------------------------------ operators
+
+@pytest.mark.parametrize("seed, side", [(seed, 16) for seed in range(20)]
+                         + [(2, 4), (2, 8), (2, 32)])
+def test_ablation_rows_equal_the_five_way_dispatch(seed, side):
+    assert ablation_rows(seed, side) == five_way_ablation_rows(seed, side)
+
+
+@pytest.mark.parametrize("op", OPERATORS)
+def test_operator_round_trip_keeps_the_input_shape(op):
+    img = np.random.default_rng(12).normal(size=(16, 16))
+    key, rng = operator_secret(op, img.shape, RngStream(12))
+    assert rng != RngStream(12)
+    bound = operator_apply(op, img, key)
+    back = operator_apply(op, bound, key, undo=True, dims=img.shape)
+    assert back.shape == img.shape
+    assert cosine(back, img) >= (0.3 if op == "vtb" else 1 - 1e-12)
+
+
+def test_operator_secret_key_shapes():
+    rng = RngStream(13)
+    assert operator_secret("hrr2d", (16, 16, 1), rng)[0].shape == (16, 16, 1)
+    assert operator_secret("hrr1d", (16, 16, 1), rng)[0].shape == (256,)
+    assert operator_secret("vtb", (16, 16), rng)[0].shape == (256,)
+    assert operator_secret("ivtb", (16, 16), rng)[0].shape == (256,)
+    assert operator_secret("hilbert", (5, 7, 3), rng)[0].shape == (64,)
+
+
+def test_unknown_operator_is_refused():
+    with pytest.raises(ParameterError):
+        operator_secret("hrr3d", (4, 4), RngStream(0))
+    with pytest.raises(ParameterError):
+        operator_apply("hrr3d", np.ones((4, 4)), np.ones((4, 4)))

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import holobind
+from holobind.altbind import operator_secret
 from holobind.cli import main
-from holobind.tensor import read_tensor, write_tensor
+from holobind.tensor import RngStream, read_tensor, write_tensor
 from holobind.trainer import init_toy_model, save_model
 
 
@@ -43,9 +44,12 @@ def test_gen_bind_unbind_round_trip(tmp_path):
     assert np.max(np.abs(recovered - x)) <= 1e-9
 
 
-@pytest.mark.parametrize("op", ["hrr1d", "vtb", "ivtb", "hilbert"])
-def test_alternative_operators_round_trip(tmp_path, op):
-    x = np.random.default_rng(1).normal(size=(16, 16))
+@pytest.mark.parametrize("op, shape", [("hrr1d", (16, 16)), ("vtb", (16, 16)),
+                                       ("ivtb", (16, 16)), ("hilbert", (16, 16)),
+                                       ("hilbert", (16, 16, 3))],
+                         ids=["hrr1d", "vtb", "ivtb", "hilbert", "hilbert_3ch"])
+def test_alternative_operators_round_trip(tmp_path, op, shape):
+    x = np.random.default_rng(1).normal(size=shape)
     x_path, s_path = tmp_path / "x.hbt", tmp_path / "s.hbt"
     b_path, out_path = tmp_path / "b.hbt", tmp_path / "rec.hbt"
     write_tensor(x, x_path)
@@ -60,10 +64,46 @@ def test_alternative_operators_round_trip(tmp_path, op):
         unbind_args += ["--dims", "16x16"]
     assert main(unbind_args) == 0
     recovered = read_tensor(out_path)
-    if op == "vtb":  # plain VTB unbinding is approximate by design
-        assert recovered.shape == x.shape
-    else:
+    assert recovered.shape == x.shape
+    if op != "vtb":  # plain VTB unbinding is approximate by design
         assert np.max(np.abs(recovered - x)) <= 1e-9
+
+
+@pytest.mark.parametrize("op, dims", [("hrr", "16x16x1"), ("hrr", "256"), ("vtb", "16x16"),
+                                      ("ivtb", "256")])
+def test_gen_secret_writes_the_operator_secret(tmp_path, op, dims):
+    out = tmp_path / "s.hbt"
+    assert main(["gen-secret", "--dims", dims, "--seed", "8", "--op", op, "--out", str(out)]) == 0
+    extents = tuple(int(e) for e in dims.split("x"))
+    key, _ = operator_secret("hrr2d" if op == "hrr" else op, extents, RngStream(8))
+    written = read_tensor(out)
+    assert written.shape == key.shape and np.array_equal(written, key)
+
+
+def test_bind_ivtb_with_a_plain_vtb_key_exits_1(tmp_path, capsys):
+    x_path, s_path = tmp_path / "x.hbt", tmp_path / "s.hbt"
+    write_tensor(np.ones((16, 16)), x_path)
+    assert main(["gen-secret", "--dims", "256", "--seed", "3", "--op", "vtb",
+                 "--out", str(s_path)]) == 0
+    assert main(["bind", "--in", str(x_path), "--secret", str(s_path), "--op", "ivtb",
+                 "--out", str(tmp_path / "b.hbt")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: secret block is not orthogonal; not an ivtb secret\n"
+    assert not (tmp_path / "b.hbt").exists()
+
+
+def test_unbind_hilbert_with_dims_beyond_the_grid_exits_1(tmp_path, capsys):
+    x_path, s_path, b_path = tmp_path / "x.hbt", tmp_path / "s.hbt", tmp_path / "b.hbt"
+    write_tensor(np.random.default_rng(2).normal(size=(16, 16)), x_path)
+    assert main(["gen-secret", "--dims", "256", "--seed", "3", "--out", str(s_path)]) == 0
+    assert main(["bind", "--in", str(x_path), "--secret", str(s_path), "--op", "hilbert",
+                 "--out", str(b_path)]) == 0
+    out_path = tmp_path / "rec.hbt"
+    assert main(["unbind", "--in", str(b_path), "--secret", str(s_path), "--op", "hilbert",
+                 "--dims", "20x20", "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: crop dims (20, 20)") and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_gen_secret_deterministic_with_env(tmp_path, monkeypatch):
@@ -206,6 +246,18 @@ def test_bench_csv(tmp_path):
     assert int(row["remote_flops"]) == 663_552
     assert float(row["remote_fraction"]) >= 0.65
     assert int(row["bytes_up"]) == 1060
+
+
+def test_bench_dims_that_differ_from_the_spec_input_exit_1(tmp_path, capsys):
+    spec_path = tmp_path / "toy.spec"
+    spec_path.write_text("input 16 16 1\ncircconv2d 3 3 1 16 100\n"
+                         "pointwise leaky_relu 0.1\ncircconv2d 3 3 16 1 101\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--spec", str(spec_path), "--dims", "64x64x3", "--k", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: dims (64, 64, 3) != spec input (16, 16, 1)\n"
+    assert not out.exists()
 
 
 def test_ablate_csv(tmp_path):

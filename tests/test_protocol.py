@@ -15,6 +15,7 @@ from holobind.errors import (
     ParameterError,
     ProtocolError,
     RemoteFailureError,
+    ShapeError,
     TransportError,
 )
 from holobind.protocol import (
@@ -541,6 +542,13 @@ def test_cost_report_toy_fw_split():
     assert report.local_flops == (1 + 4) * 5 * 256 * 8 + (64 * 256 + 4 * 64)
     assert report.remote_fraction >= 0.65
     assert report.bytes_up == report.bytes_down == 1060
+
+
+def test_cost_report_refuses_dims_other_than_the_spec_input():
+    with pytest.raises(ShapeError):
+        cost_report(toy_fw_spec(), (64, 64, 3), k=1)
+    with pytest.raises(ShapeError):
+        cost_report(identity_spec((16, 16, 1)), (16, 16), k=1)
 
 
 def test_cost_report_scales_linearly_in_k():
