@@ -94,25 +94,23 @@ def vtb_unbind(z: np.ndarray, y: VtbSecret) -> np.ndarray:
 
 # ------------------------------------------------------------- Hilbert curve
 
-def _rank_to_cell(order: int, rank: int) -> tuple[int, int]:
-    # iterative Gray-code construction; visit order at order 1 is
-    # (0,0),(0,1),(1,1),(1,0) in (row, col) coordinates
-    n = 1 << order
-    r = c = 0
-    t = rank
-    s = 1
-    while s < n:
-        rx = 1 & (t // 2)
+def _rank_to_cell(order: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # iterative Gray-code construction over every rank at once; visit order
+    # at order 1 is (0,0),(0,1),(1,1),(1,0) in (row, col) coordinates
+    t = np.asarray(ranks, dtype=np.int64)
+    r = np.zeros_like(t)
+    c = np.zeros_like(t)
+    for level in range(order):
+        s = 1 << level
+        rx = 1 & (t >> 1)
         ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                r = s - 1 - r
-                c = s - 1 - c
-            r, c = c, r
+        flip = (ry == 0) & (rx == 1)
+        r = np.where(flip, s - 1 - r, r)
+        c = np.where(flip, s - 1 - c, c)
+        r, c = np.where(ry == 0, c, r), np.where(ry == 0, r, c)
         r += s * rx
         c += s * ry
-        t //= 4
-        s *= 2
+        t = t >> 2
     return r, c
 
 
@@ -130,13 +128,11 @@ def hilbert_map(order: int) -> HilbertMap:
     if order < 1:
         raise ShapeError(f"hilbert order must be >= 1, got {order}")
     side = 1 << order
-    forward = np.zeros((side * side, 2), dtype=np.int64)
-    inverse = np.zeros((side, side), dtype=np.int64)
-    for rank in range(side * side):
-        r, c = _rank_to_cell(order, rank)
-        forward[rank] = (r, c)
-        inverse[r, c] = rank
-    return HilbertMap(order, forward, inverse)
+    ranks = np.arange(side * side, dtype=np.int64)
+    r, c = _rank_to_cell(order, ranks)
+    inverse = np.empty((side, side), dtype=np.int64)
+    inverse[r, c] = ranks
+    return HilbertMap(order, np.stack([r, c], axis=1), inverse)
 
 
 def _padded_order(h: int, w: int) -> int:

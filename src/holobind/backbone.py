@@ -118,6 +118,10 @@ def circconv_backward(kernel: np.ndarray, x: np.ndarray, grad_out: np.ndarray):
 
 
 def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
+    if 0.0 < alpha <= 1.0:
+        # x where x > 0 and alpha * x elsewhere, bit for bit; a three-way
+        # np.where branches per element and costs about 10x more at batch 8
+        return np.maximum(x, alpha * x)
     return np.where(x > 0, x, alpha * x)
 
 

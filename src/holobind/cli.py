@@ -98,12 +98,12 @@ def _cmd_probe(args):
 def _cmd_serve(args):
     host, port = _parse_endpoint(args.listen)
     if args.model:
-        applier = trainer.backbone_applier(trainer.load_model(args.model))
+        spec = trainer.load_model(args.model).backbone
     elif args.spec:
-        applier = backbone.load_spec(args.spec)
+        spec = backbone.load_spec(args.spec)
     else:
         raise ParameterError("serve needs --spec or --model")
-    protocol.worker_serve(applier, host, port)
+    protocol.worker_serve(spec, host, port)
     return 0
 
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-secret", _cmd_gen_secret, "sample a fresh secret tensor")
     p.add_argument("--dims", required=True, help="extents, e.g. 16x16x1 or 256")
     p.add_argument("--out", required=True)
-    p.add_argument("--op", choices=("hrr", "vtb", "ivtb"), default="hrr")
+    p.add_argument("--op", choices=("hrr",) + altbind.OPERATORS, default="hrr")
 
     for name in ("bind", "unbind"):
         p = add(name, _cmd_bind_or_unbind, f"{name} a tensor file with a secret file")

@@ -8,10 +8,11 @@ serialize into any message: the worker only ever sees bound tensors.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import logging
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneSpec, FlopReport, count_flops, transform_cost
+from .backbone import FORWARD_BLOCK, BackboneSpec, FlopReport, count_flops, transform_cost
 from .errors import (
     FormatError,
     ParameterError,
@@ -92,6 +93,7 @@ def _parse_envelope(data: bytes, magic: bytes) -> tuple[int, int]:
 
 
 def _payload(data: bytes, kind: str) -> np.ndarray:
+    """The message's tensor; a malformed or non-finite one is a ProtocolError."""
     try:
         return tensor_from_bytes(data[ENVELOPE_SIZE:])
     except FormatError as err:
@@ -133,27 +135,83 @@ def request_size(dims) -> int:
 
 
 # ------------------------------------------------------------ worker handler
+#
+# The worker answers a request in three steps: decode (status 1 when the
+# message is malformed), the backbone (status 2 when it fails) and encode
+# (status 2 when the result does not fit in f32). The single-request and
+# batched paths share the first and last step, so their replies are equal
+# byte for byte.
 
-def handle_request_bytes(applier, data: bytes) -> bytes:
-    """Decode, run the backbone, encode; never raises on bad input."""
-    start = time.perf_counter()
+def _decode_for_worker(data: bytes) -> tuple[BoundRequest | None, bytes | None]:
+    """The request, or the status-1 reply that stands in for it."""
     request_id = 0
     if len(data) >= 14 and data[:4] == REQUEST_MAGIC:
         request_id = struct.unpack_from("<Q", data, 6)[0]
     try:
-        req = decode_request(data)
+        return decode_request(data), None
     except ProtocolError as err:
         log.warning("request %d malformed: %s", request_id, err)
-        return encode_response(BoundResponse(request_id, STATUS_MALFORMED, None))
+        return None, encode_response(BoundResponse(request_id, STATUS_MALFORMED, None))
+
+
+def _failure(request_id: int, err: Exception) -> bytes:
+    # the payload must never appear in logs; the error names shapes only
+    log.warning("request %d backbone failure: %s", request_id, err)
+    return encode_response(BoundResponse(request_id, STATUS_APPLY_ERROR, None))
+
+
+def _reply(req: BoundRequest, result, start: float) -> bytes:
+    """The status-0 reply, or status 2 when the result has no finite f32 form."""
+    try:
+        reply = encode_response(BoundResponse(req.request_id, STATUS_OK, result))
+    except ParameterError as err:
+        return _failure(req.request_id, err)
+    log.info("request %d dims=%s served in %.2f ms", req.request_id,
+             tuple(req.payload.shape), (time.perf_counter() - start) * 1e3)
+    return reply
+
+
+def handle_request_bytes(applier, data: bytes) -> bytes:
+    """Decode, run the backbone, encode; never raises on bad input."""
+    start = time.perf_counter()
+    req, refusal = _decode_for_worker(data)
+    if req is None:
+        return refusal
     try:
         result = applier(req.payload)
-    except Exception as err:  # the payload must never appear in logs
-        log.warning("request %d backbone failure: %s", req.request_id, err)
-        return encode_response(BoundResponse(req.request_id, STATUS_APPLY_ERROR, None))
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    log.info("request %d dims=%s served in %.2f ms",
-             req.request_id, tuple(req.payload.shape), elapsed_ms)
-    return encode_response(BoundResponse(req.request_id, STATUS_OK, result))
+    except Exception as err:  # any backbone fault is the request's status, not ours
+        return _failure(req.request_id, err)
+    return _reply(req, result, start)
+
+
+def handle_request_batch(spec: BackboneSpec, bodies: list) -> list:
+    """One reply per request body, from one ``spec.forward`` over the well-formed ones.
+
+    Each reply equals ``handle_request_bytes(spec.apply, body)`` byte for
+    byte: the forward treats items independently, and a body that is
+    malformed or of another shape keeps its own status without failing
+    the rest.
+    """
+    start = time.perf_counter()
+    replies, runnable = [], []
+    for body in bodies:
+        req, refusal = _decode_for_worker(body)
+        if req is not None and req.payload.shape != spec.input_dims:
+            refusal = _failure(req.request_id, ShapeError(
+                f"input dims {req.payload.shape} != spec input {spec.input_dims}"))
+        elif req is not None:
+            runnable.append((len(replies), req))
+        replies.append(refusal)
+    if runnable:
+        try:
+            results, _ = spec.forward(np.array([req.payload for _, req in runnable]))
+        except Exception as err:  # as in handle_request_bytes, a status, not a crash
+            for i, req in runnable:
+                replies[i] = _failure(req.request_id, err)
+        else:
+            for (i, req), result in zip(runnable, results):
+                replies[i] = _reply(req, result, start)
+    return replies
 
 
 # ---------------------------------------------------------------- transports
@@ -231,8 +289,17 @@ class TranscriptRecorder(Transport):
 # Frames larger than this are treated as protocol abuse, not payloads.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-# A connection that sends nothing for this long is closed.
+# A connection is closed when it has sent nothing for this long, or when its
+# current frame has been incomplete for this long.
 IDLE_TIMEOUT_S = 30.0
+
+# Connections accepted beyond this many are closed at once. It is twice the
+# listen backlog, so a backlog full of clients that already hung up cannot
+# crowd out the next one.
+MAX_CONNECTIONS = 256
+
+_LISTEN_BACKLOG = 128
+_RECV_BYTES = 1 << 16
 
 
 def _read_frame(rfile) -> bytes:
@@ -249,75 +316,114 @@ def _read_frame(rfile) -> bytes:
 
 # -------------------------------------------------------------------- worker
 
-class _FrameHandler(socketserver.StreamRequestHandler):
-    """Answers one connection's frames in order until it closes or idles."""
+class _Connection:
+    """One client: its socket, unparsed bytes, whole frames and unsent replies.
 
-    timeout = IDLE_TIMEOUT_S
-
-    def handle(self) -> None:
-        log.info("connection from %s:%d", *self.client_address[:2])
-        try:
-            while True:
-                message = _read_frame(self.rfile)
-                # a module-global lookup, so a replacement installed on the module is used
-                reply = handle_request_bytes(self.server.applier, message)
-                self.wfile.write(struct.pack("<I", len(reply)) + reply)
-        except (TransportError, OSError):  # closed, idle, over the cap or reset
-            return
-
-
-class WorkerServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP worker: one daemon handler thread per open connection.
-
-    Handlers share only the immutable applier; per-request state is local,
-    so interleaved requests from many connections are safe.
+    ``since`` is when the connection last made progress: a frame completed,
+    a new frame began, or a reply went out. A trickle of bytes inside one
+    frame does not count, so a frame cannot stay incomplete past the deadline.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 128  # the listen() backlog; socketserver's default is 5
+    __slots__ = ("sock", "inbuf", "frames", "outbuf", "since", "events")
 
-    def __init__(self, applier, host: str = "127.0.0.1", port: int = 0):
-        if isinstance(applier, BackboneSpec):
-            # the client unbinds the reply with the secret it bound the
-            # request with, which needs the input's shape back
-            if not applier.shape_preserving:
-                raise SpecError(f"cannot serve a spec that maps {applier.input_dims} "
-                                f"to {applier.output_dims}; the shape must be preserved")
-            applier = applier.apply
-        self.applier = applier
-        self._open = set()  # sockets of open connections, so stop() can wake them
+    def __init__(self, sock: socket.socket, now: float):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.frames = collections.deque()
+        self.outbuf = bytearray()
+        self.since = now
+        self.events = selectors.EVENT_READ
+
+    def receive(self, now: float) -> bool:
+        """Read what has arrived and split off whole frames; False to close."""
+        try:
+            data = self.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        if not data:
+            return False
+        fresh = not self.inbuf
+        buf = self.inbuf
+        buf += data
+        pos = 0
+        while len(buf) - pos >= 4:
+            length = int.from_bytes(buf[pos:pos + 4], "little")
+            if length > MAX_FRAME_BYTES:
+                log.warning("frame of %d bytes exceeds the %d cap; closing", length,
+                            MAX_FRAME_BYTES)
+                return False
+            if len(buf) - pos - 4 < length:
+                break
+            self.frames.append(bytes(buf[pos + 4:pos + 4 + length]))
+            pos += 4 + length
+        del buf[:pos]
+        if fresh or pos:
+            self.since = now
+        return True
+
+    def flush(self, now: float) -> bool:
+        """Send as much of the unsent replies as the socket takes; False to close."""
+        try:
+            sent = self.sock.send(self.outbuf)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        if sent:
+            del self.outbuf[:sent]
+            self.since = now
+        return True
+
+
+class WorkerServer:
+    """TCP worker: one selectors loop serves every connection.
+
+    Each turn reads every readable connection into its own buffer, then runs
+    up to FORWARD_BLOCK whole frames, taken across connections one at a
+    time, through one ``handle_request_batch``. Each connection's replies go
+    out in request order with one send. A connection whose replies are not
+    all sent is neither read nor given more work until they are, so a client
+    that stops reading holds at most one batch of replies.
+    """
+
+    def __init__(self, spec: BackboneSpec, host: str = "127.0.0.1", port: int = 0):
+        if not isinstance(spec, BackboneSpec):
+            raise SpecError(f"the worker serves a BackboneSpec, got {type(spec).__name__}")
+        # the client unbinds the reply with the secret it bound the request
+        # with, which needs the input's shape back
+        if not spec.shape_preserving:
+            raise SpecError(f"cannot serve a spec that maps {spec.input_dims} "
+                            f"to {spec.output_dims}; the shape must be preserved")
+        self.spec = spec
+        self.socket = socket.create_server((host, port), backlog=_LISTEN_BACKLOG)
+        self.socket.setblocking(False)
+        self._wake, self._waker = socket.socketpair()  # stop() writes to the waker
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
         self._loop = None
-        super().__init__((host, port), _FrameHandler)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
+        return self.socket.getsockname()[:2]
 
     def start(self) -> "WorkerServer":
-        # the loop checks for a stop request every 0.1 s
-        self._loop = threading.Thread(target=self.serve_forever, args=(0.1,), daemon=True)
+        self._loop = threading.Thread(target=self.serve_forever, daemon=True)
         self._loop.start()
         return self
 
-    def process_request(self, request, client_address) -> None:
-        self._open.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        self._open.discard(request)
-        super().shutdown_request(request)
-
     def stop(self) -> None:
-        """Stop accepting, wake every handler, and close the listener."""
-        if self._loop is not None:  # shutdown() hangs if serve_forever never ran
-            self.shutdown()
+        """Wake the loop, wait for it to close every connection, close the listener."""
+        with contextlib.suppress(OSError):
+            self._waker.send(b"\0")
+        if self._loop is not None:
             self._loop.join()
             self._loop = None
-        for conn in list(self._open):
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)  # a blocked read returns EOF
-        self.server_close()
+        for sock in (self.socket, self._wake, self._waker):
+            sock.close()
+        self._selector.close()
 
     def __enter__(self):
         return self.start()
@@ -325,15 +431,99 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     def __exit__(self, *exc):
         self.stop()
 
+    def serve_forever(self) -> None:
+        """Serve until ``stop()``; every connection is closed on the way out."""
+        conns = set()  # the open connections, owned by the running loop
+        timeout = None
+        try:
+            while True:
+                events = self._selector.select(timeout)
+                now = time.monotonic()
+                for key, mask in events:
+                    conn = key.data
+                    if key.fileobj is self._wake:
+                        return
+                    if conn is None:
+                        self._accept(conns, now)
+                    elif mask & selectors.EVENT_WRITE:
+                        if not conn.flush(now):
+                            self._drop(conns, conn)
+                    elif not conn.frames and not conn.receive(now):
+                        self._drop(conns, conn)  # whole frames waiting are answered first
+                timeout = self._turn(conns, now)
+        finally:
+            for conn in list(conns):
+                self._drop(conns, conn)
 
-def worker_serve(applier, host: str = "127.0.0.1", port: int = 9741) -> None:
+    def _turn(self, conns: set, now: float) -> float | None:
+        """Drop expired connections, answer one batch; the next select timeout."""
+        batch, queues = [], []
+        for conn in list(conns):
+            if now - conn.since >= IDLE_TIMEOUT_S:
+                log.info("closing a connection idle or mid-frame for %.1f s", now - conn.since)
+                self._drop(conns, conn)
+            elif conn.frames and not conn.outbuf:
+                queues.append(conn)
+        while queues and len(batch) < FORWARD_BLOCK:
+            for conn in queues[:FORWARD_BLOCK - len(batch)]:
+                batch.append((conn, conn.frames.popleft()))
+            queues = [c for c in queues if c.frames]
+        if batch:
+            replies = handle_request_batch(self.spec, [body for _, body in batch])
+            for (conn, _), reply in zip(batch, replies):
+                conn.outbuf += struct.pack("<I", len(reply)) + reply
+            for conn in dict.fromkeys(conn for conn, _ in batch):
+                if not conn.flush(now):
+                    self._drop(conns, conn)
+        timeout = None
+        for conn in conns:
+            events = selectors.EVENT_WRITE if conn.outbuf else selectors.EVENT_READ
+            if events != conn.events:
+                self._selector.modify(conn.sock, events, conn)
+                conn.events = events
+            # a whole frame that missed this batch makes the next turn start at once
+            waiting = conn.frames and not conn.outbuf
+            due = 0.0 if waiting else max(0.0, conn.since + IDLE_TIMEOUT_S - now)
+            timeout = due if timeout is None else min(timeout, due)
+        return timeout
+
+    def _accept(self, conns: set, now: float) -> None:
+        while True:
+            try:
+                sock, peer = self.socket.accept()
+            except BlockingIOError:
+                return
+            except OSError as err:  # e.g. out of descriptors; the backlog keeps the client
+                log.warning("accept failed: %s", err)
+                return
+            if len(conns) >= MAX_CONNECTIONS:
+                log.warning("connection from %s:%d closed: %d connections are open",
+                            *peer[:2], MAX_CONNECTIONS)
+                sock.close()
+                continue
+            log.info("connection from %s:%d", *peer[:2])
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock, now)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+            conns.add(conn)
+
+    def _drop(self, conns: set, conn: _Connection) -> None:
+        conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+
+def worker_serve(spec: BackboneSpec, host: str = "127.0.0.1", port: int = 9741) -> None:
     """Blocking serve loop for the CLI; returns on KeyboardInterrupt."""
-    server = WorkerServer(applier, host, port)
+    server = WorkerServer(spec, host, port)
     log.info("worker listening on %s:%d", *server.address)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        server.server_close()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
 
 
 # -------------------------------------------------------------------- client

@@ -344,6 +344,35 @@ def per_channel_hilbert_unbind(bound, s1d, dims):
     return hilbert_decode(unbind(bound, s1d), dims)
 
 
+def loop_hilbert_map(order):
+    """The earlier Hilbert tables: one Gray-code walk per rank, in a Python loop.
+
+    Returns (forward, inverse) as ``hilbert_map`` lays them out.
+    """
+    side = 1 << order
+    forward = np.zeros((side * side, 2), dtype=np.int64)
+    inverse = np.zeros((side, side), dtype=np.int64)
+    for rank in range(side * side):
+        r = c = 0
+        t = rank
+        s = 1
+        while s < side:
+            rx = 1 & (t // 2)
+            ry = 1 & (t ^ rx)
+            if ry == 0:
+                if rx == 1:
+                    r = s - 1 - r
+                    c = s - 1 - c
+                r, c = c, r
+            r += s * rx
+            c += s * ry
+            t //= 4
+            s *= 2
+        forward[rank] = (r, c)
+        inverse[r, c] = rank
+    return forward, inverse
+
+
 def five_way_ablation_rows(seed=0, side=16):
     """``ablation_rows`` with the ablation's own branch per operator, as it
     was before the operators got one dispatcher."""

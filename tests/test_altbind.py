@@ -20,7 +20,12 @@ from holobind.altbind import (
 from holobind.errors import NearSingularInverseError, ParameterError, ShapeError
 from holobind.tensor import RngStream
 from holobind.vsa import cosine, sample_secret
-from oracles import five_way_ablation_rows, per_channel_hilbert_bind, per_channel_hilbert_unbind
+from oracles import (
+    five_way_ablation_rows,
+    loop_hilbert_map,
+    per_channel_hilbert_bind,
+    per_channel_hilbert_unbind,
+)
 
 
 # ----------------------------------------------------------------------- VTB
@@ -129,6 +134,14 @@ def test_hilbert_order1_visit_order():
 def test_hilbert_bijection_bitwise():
     img = np.random.default_rng(3).normal(size=(4, 4))
     assert np.array_equal(hilbert_decode(hilbert_encode(img)), img)
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_hilbert_map_equals_the_per_rank_loop(order):
+    forward, inverse = loop_hilbert_map(order)
+    m = hilbert_map(order)
+    assert np.array_equal(m.forward, forward) and m.forward.dtype == forward.dtype
+    assert np.array_equal(m.inverse, inverse) and m.inverse.dtype == inverse.dtype
 
 
 @pytest.mark.parametrize("order", range(1, 7))

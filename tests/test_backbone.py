@@ -208,6 +208,16 @@ def test_circconv_gradients_match_finite_differences():
         assert abs(grad_in.reshape(-1)[i] - val) <= 1e-4 * max(1.0, abs(val))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 1.0, 2.0, -0.3])
+def test_leaky_relu_forward_is_the_three_way_select_bit_for_bit(alpha):
+    x = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 3.0, -3.0],
+        np.random.default_rng(40).normal(size=4096),
+    ]).reshape(2, -1, 1, 1)
+    expected = np.where(x > 0, x, alpha * x)
+    assert np.array_equal(leaky_relu_forward(x, alpha).view(np.int64), expected.view(np.int64))
+
+
 def test_dense_and_leaky_relu_gradients():
     g = np.random.default_rng(8)
     w = g.normal(size=(4, 6))

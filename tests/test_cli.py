@@ -1,8 +1,11 @@
 import csv
 import io
 import os
+import signal
+import socket
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -70,7 +73,8 @@ def test_alternative_operators_round_trip(tmp_path, op, shape):
 
 
 @pytest.mark.parametrize("op, dims", [("hrr", "16x16x1"), ("hrr", "256"), ("vtb", "16x16"),
-                                      ("ivtb", "256")])
+                                      ("ivtb", "256"), ("hrr2d", "8x8"), ("hrr1d", "4x4"),
+                                      ("hilbert", "28x28")])
 def test_gen_secret_writes_the_operator_secret(tmp_path, op, dims):
     out = tmp_path / "s.hbt"
     assert main(["gen-secret", "--dims", dims, "--seed", "8", "--op", op, "--out", str(out)]) == 0
@@ -78,6 +82,18 @@ def test_gen_secret_writes_the_operator_secret(tmp_path, op, dims):
     key, _ = operator_secret("hrr2d" if op == "hrr" else op, extents, RngStream(8))
     written = read_tensor(out)
     assert written.shape == key.shape and np.array_equal(written, key)
+
+
+def test_gen_secret_draws_a_hilbert_key_that_bind_accepts(tmp_path):
+    # a 28x28 image runs along the 32x32 curve, so its key has 1024 entries
+    s_path, x_path, b_path = tmp_path / "s.hbt", tmp_path / "x.hbt", tmp_path / "b.hbt"
+    assert main(["gen-secret", "--dims", "28x28", "--seed", "4", "--op", "hilbert",
+                 "--out", str(s_path)]) == 0
+    assert read_tensor(s_path).shape == (1024,)
+    write_tensor(np.random.default_rng(5).normal(size=(28, 28)), x_path)
+    assert main(["bind", "--in", str(x_path), "--secret", str(s_path), "--out", str(b_path),
+                 "--op", "hilbert"]) == 0
+    assert read_tensor(b_path).shape == (1024,)
 
 
 def test_bind_ivtb_with_a_plain_vtb_key_exits_1(tmp_path, capsys):
@@ -321,7 +337,7 @@ def test_attack_invert_smoke(tmp_path):
 
 def test_serve_query_over_tcp(tmp_path):
     from holobind.protocol import WorkerServer
-    from holobind.trainer import backbone_applier, load_model
+    from holobind.trainer import load_model
 
     model_path = tmp_path / "toy.model"
     save_model(init_toy_model(6), model_path)
@@ -329,7 +345,7 @@ def test_serve_query_over_tcp(tmp_path):
     x_path = tmp_path / "x.hbt"
     write_tensor(x, x_path)
 
-    with WorkerServer(backbone_applier(load_model(model_path))) as server:
+    with WorkerServer(load_model(model_path).backbone) as server:
         host, port = server.address
         out = tmp_path / "dist.csv"
         assert main(["query", "--in", str(x_path), "--endpoint", f"{host}:{port}",
@@ -350,16 +366,53 @@ def test_query_connect_failure_is_domain_error(tmp_path):
                  "--k", "1", "--model", str(model_path)]) == 1
 
 
+def _cli_env():
+    src = str(Path(holobind.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_serve_model_exits_0_on_sigint_with_a_client_connected(tmp_path):
+    from holobind.errors import TransportError
+    from holobind.protocol import (STATUS_OK, BoundRequest, TcpTransport, decode_response,
+                                   encode_request)
+
+    model_path = tmp_path / "toy.model"
+    save_model(init_toy_model(6), model_path)
+    with socket.socket() as probe:  # a port that was free a moment ago
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with open(tmp_path / "serve.log", "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "holobind.cli", "serve", "--model", str(model_path),
+             "--listen", f"127.0.0.1:{port}"], stdout=log, stderr=log, env=_cli_env())
+    try:
+        deadline = time.monotonic() + 30.0
+        transport = None
+        while transport is None and proc.poll() is None and time.monotonic() < deadline:
+            try:
+                transport = TcpTransport("127.0.0.1", port, timeout=5.0)
+            except TransportError:
+                time.sleep(0.02)
+        assert transport is not None, (tmp_path / "serve.log").read_text()
+        with transport:
+            request = encode_request(BoundRequest(3, np.ones((16, 16, 1))))
+            assert decode_response(transport.request(request)).status == STATUS_OK
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=2.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def test_serve_refuses_shape_changing_spec(tmp_path):
     # the worker must refuse before it listens; serving would block forever
     spec_path = tmp_path / "dense.spec"
     spec_path.write_text("input 4 4 1\ndense 10 16 3\n")
-    src = str(Path(holobind.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "holobind.cli", "serve", "--spec", str(spec_path),
          "--listen", "127.0.0.1:0"],
-        capture_output=True, text=True, timeout=30, env=env)
+        capture_output=True, text=True, timeout=30, env=_cli_env())
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "(10,)" in proc.stderr

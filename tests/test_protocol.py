@@ -1,3 +1,5 @@
+import contextlib
+import select
 import socket
 import struct
 import threading
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobind import protocol, vsa
-from holobind.backbone import identity_spec, toy_fw_spec
+from holobind.backbone import BackboneSpec, CircConv2d, identity_spec, toy_fw_spec
 from holobind.errors import (
     DegenerateSpectrumError,
     ParameterError,
@@ -38,6 +40,7 @@ from holobind.protocol import (
     decode_response,
     encode_request,
     encode_response,
+    handle_request_batch,
     handle_request_bytes,
     request_size,
 )
@@ -167,6 +170,85 @@ def test_handler_logs_metadata_never_payload(caplog):
     joined = " ".join(rec.getMessage() for rec in caplog.records)
     assert "99" in joined and "(2, 2)" in joined
     assert "7.125" not in joined
+
+
+def _raw_message(magic, rid, dims, values):
+    """A message built byte by byte, so its f32 payload may hold nan or inf."""
+    return (magic + struct.pack("<HQB3x", 1, rid, 0) + b"HBT1"
+            + struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims)
+            + np.asarray(values, dtype="<f4").reshape(dims).tobytes())
+
+
+def _raw_request(rid, dims, value):
+    return _raw_message(REQUEST_MAGIC, rid, dims, np.full(dims, value))
+
+
+def _scaling_spec(dims, gain):
+    """One 1x1 circular conv that multiplies every value by ``gain``."""
+    return BackboneSpec(dims, (CircConv2d(np.full((1, 1, dims[2], dims[2]), gain)),))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_request_is_malformed(value):
+    values = np.ones((4, 4, 1))
+    values[2, 1, 0] = value
+    msg = _raw_message(REQUEST_MAGIC, 12, (4, 4, 1), values)
+    with pytest.raises(ProtocolError, match="non-finite") as err:
+        decode_request(msg)
+    assert err.value.offset == ENVELOPE_SIZE + 6 + 12 + 4 * 9  # the bad value's bytes
+    spec = identity_spec((4, 4, 1))
+    reply = LoopbackTransport(spec.apply).request(msg)
+    assert reply == handle_request_bytes(spec.apply, msg) == handle_request_batch(spec, [msg])[0]
+    resp = decode_response(reply)
+    assert resp.status == STATUS_MALFORMED and resp.request_id == 12
+
+
+def test_client_refuses_a_non_finite_reply():
+    reply = _raw_message(protocol.RESPONSE_MAGIC, 5, (2, 2), [1.0, np.inf, 0.0, 2.0])
+    with pytest.raises(ProtocolError, match="non-finite"):
+        decode_response(reply)
+
+    class InfiniteWorker(protocol.Transport):
+        def request(self, data):
+            req = decode_request(data)
+            return _raw_message(protocol.RESPONSE_MAGIC, req.request_id, req.payload.shape,
+                                np.full(req.payload.shape, np.nan))
+
+    plan = QueryPlan(2, RngStream(27), InfiniteWorker())
+    with pytest.raises(ProtocolError, match="non-finite"):
+        client_infer(np.ones((4, 4, 1)), plan, init_toy_model(2, dims=(4, 4, 1)))
+
+
+def test_result_beyond_f32_range_gets_status_2():
+    spec = _scaling_spec((2, 2, 1), 4.0)
+    msg = encode_request(BoundRequest(6, np.full((2, 2, 1), 1e38)))  # 4e38 > f32 max
+    reply = handle_request_bytes(spec.apply, msg)
+    resp = decode_response(reply)
+    assert resp.status == STATUS_APPLY_ERROR and resp.request_id == 6
+    assert handle_request_batch(spec, [msg]) == [reply]
+    with WorkerServer(spec) as server, TcpTransport(*server.address) as transport:
+        assert transport.request(msg) == reply
+
+
+def _mixed_bodies(dims, rng, n_valid):
+    """Valid requests among malformed, wrong-shape, non-finite and mutated ones."""
+    bodies = [encode_request(BoundRequest(100 + i, _f32(rng.normal(size=dims))))
+              for i in range(n_valid)]
+    mutated = bytearray(bodies[0])
+    mutated[ENVELOPE_SIZE] ^= 0xFF
+    bodies[1:1] = [b"\x00" * 30, encode_request(BoundRequest(7, np.ones((2, 3, 1)))),
+                   _raw_request(8, dims, np.nan), bytes(mutated), b""]
+    return bodies
+
+
+def test_batch_replies_equal_the_single_request_handler():
+    spec = toy_fw_spec((8, 8, 1), seed=31)
+    bodies = _mixed_bodies((8, 8, 1), np.random.default_rng(32), 20)  # over FORWARD_BLOCK
+    replies = handle_request_batch(spec, bodies)
+    assert replies == [handle_request_bytes(spec.apply, body) for body in bodies]
+    statuses = [decode_response(r).status for r in replies]
+    assert statuses.count(STATUS_OK) == 20
+    assert statuses.count(STATUS_MALFORMED) == 4 and statuses.count(STATUS_APPLY_ERROR) == 1
 
 
 # ------------------------------------------------------------------ loopback
@@ -425,8 +507,7 @@ _ONES_REQUEST = encode_request(BoundRequest(1, _f32(np.ones((4, 4, 1)))))
 
 
 def test_idle_client_is_dropped_while_another_is_served(monkeypatch):
-    assert protocol._FrameHandler.timeout == protocol.IDLE_TIMEOUT_S
-    monkeypatch.setattr(protocol._FrameHandler, "timeout", 0.2)
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.2)
     payload = _f32(np.arange(16.0).reshape(4, 4, 1))
     request = encode_request(BoundRequest(3, payload))
     with WorkerServer(identity_spec((4, 4, 1))) as server:
@@ -485,8 +566,8 @@ def test_connect_close_cycles_leave_no_thread_or_connection_state():
 _shapes = st.one_of(st.just((4, 4, 1)), st.lists(st.integers(1, 5), min_size=1,
                                                   max_size=4).map(tuple))
 _valid_requests = st.builds(
-    lambda rid, dims, value: encode_request(BoundRequest(rid, np.full(dims, value))),
-    st.integers(0, 2 ** 64 - 1), _shapes, st.floats(-1e3, 1e3, width=32))
+    _raw_request, st.integers(0, 2 ** 64 - 1), _shapes,
+    st.one_of(st.floats(-1e3, 1e3, width=32), st.sampled_from([np.nan, np.inf, -np.inf])))
 _request_bodies = st.one_of(
     st.binary(max_size=64),
     st.builds(lambda version, rid, status, rest:
@@ -501,8 +582,9 @@ _request_bodies = st.one_of(
 
 
 def test_fuzzed_frames_never_break_the_worker():
-    applier = identity_spec((4, 4, 1)).apply
-    with WorkerServer(applier) as server:
+    spec = identity_spec((4, 4, 1))
+    applier = spec.apply
+    with WorkerServer(spec) as server:
 
         @settings(max_examples=30, deadline=None)
         @given(st.lists(_request_bodies, max_size=4), st.binary(max_size=8))
@@ -524,6 +606,142 @@ def test_fuzzed_frames_never_break_the_worker():
             resp = decode_response(transport.request(encode_request(BoundRequest(8, payload))))
         assert resp.request_id == 8 and resp.status == STATUS_OK
         assert np.array_equal(resp.payload, payload)
+
+
+def _closed_by_peer(sock, timeout):
+    """True once the peer has closed ``sock``, waiting up to ``timeout`` seconds."""
+    ready, _, _ = select.select([sock], [], [], timeout)
+    if not ready:
+        return False
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def test_trickling_sender_is_dropped_at_the_frame_deadline(monkeypatch):
+    # each byte arrives well inside the deadline, but the frame never completes
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.3)
+    with WorkerServer(identity_spec((4, 4, 1))) as server, \
+            socket.create_connection(server.address, timeout=5.0) as sock:
+        start = time.monotonic()
+        sock.sendall(struct.pack("<I", 100))
+        dropped = False
+        while not dropped and time.monotonic() - start < 3.0:
+            with contextlib.suppress(OSError):
+                sock.send(b"\x01")
+            dropped = _closed_by_peer(sock, 0.2)
+        elapsed = time.monotonic() - start
+    assert dropped and 0.3 <= elapsed < 1.5
+
+
+def test_connections_beyond_the_cap_are_closed_while_earlier_ones_are_served(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_CONNECTIONS", 2)
+    with WorkerServer(identity_spec((4, 4, 1))) as server, \
+            TcpTransport(*server.address) as first, TcpTransport(*server.address) as second:
+        for transport in (first, second):  # both accepted and registered
+            assert decode_response(transport.request(_ONES_REQUEST)).status == STATUS_OK
+        with socket.create_connection(server.address, timeout=5.0) as third:
+            assert _closed_by_peer(third, 5.0)
+        for transport in (first, second):
+            assert decode_response(transport.request(_ONES_REQUEST)).status == STATUS_OK
+        first.close()
+        deadline = time.monotonic() + 5.0
+        while True:  # the first's slot frees once the worker sees it close
+            with TcpTransport(*server.address) as fourth:
+                try:
+                    assert decode_response(fourth.request(_ONES_REQUEST)).status == STATUS_OK
+                    break
+                except TransportError:
+                    assert time.monotonic() < deadline
+
+
+def test_a_client_that_never_reads_does_not_delay_another():
+    dims = (64, 64, 1)
+    frame = _frame(encode_request(BoundRequest(1, np.ones(dims))))
+    payload = _f32(np.random.default_rng(33).normal(size=dims))
+    request = encode_request(BoundRequest(2, payload))
+    with WorkerServer(identity_spec(dims)) as server:
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(server.address)
+        stalled.settimeout(0.5)
+        try:
+            with pytest.raises(TimeoutError):  # the worker stops reading a stalled client
+                for _ in range(4_000):  # 64 MB, beyond what the socket buffers can hold
+                    stalled.sendall(frame)
+            with TcpTransport(*server.address) as other:
+                for _ in range(20):
+                    start = time.monotonic()
+                    resp = decode_response(other.request(request))
+                    assert time.monotonic() - start < 0.5
+                    assert resp.status == STATUS_OK and np.array_equal(resp.payload, payload)
+        finally:
+            stalled.close()
+
+
+def test_interleaved_frames_get_the_single_request_handlers_replies(monkeypatch):
+    spec = toy_fw_spec((8, 8, 1), seed=34)
+    batch_sizes = []
+    forward = BackboneSpec.forward
+
+    def counting_forward(self, batch, keep_inputs=False):
+        batch_sizes.append(len(batch))
+        return forward(self, batch, keep_inputs)
+
+    monkeypatch.setattr(BackboneSpec, "forward", counting_forward)
+    rng = np.random.default_rng(35)
+    streams = [_mixed_bodies((8, 8, 1), rng, 6) for _ in range(3)]
+    with WorkerServer(spec) as server:
+        socks = [socket.create_connection(server.address, timeout=5.0) for _ in streams]
+        try:
+            # one send of a whole stream, so a batch mixes every kind of body
+            socks[0].sendall(b"".join(_frame(body) for body in streams[0]))
+            for i in range(len(streams[1])):  # the other two take turns, frame by frame
+                for sock, bodies in zip(socks[1:], streams[1:]):
+                    sock.sendall(_frame(bodies[i]))
+            for sock, bodies in zip(socks, streams):
+                rfile = sock.makefile("rb")
+                assert [_read_frame(rfile) for _ in bodies] == \
+                    [handle_request_bytes(spec.apply, body) for body in bodies]
+                rfile.close()
+        finally:
+            for sock in socks:
+                sock.close()
+    assert max(batch_sizes) > 1  # the requests of a send shared a pass
+
+
+def test_stop_under_load_returns_within_a_second_and_leaves_no_thread():
+    before = set(threading.enumerate())
+    server = WorkerServer(toy_fw_spec((8, 8, 1), seed=36)).start()
+    served = [0, 0, 0]
+    request = encode_request(BoundRequest(1, _f32(np.ones((8, 8, 1)))))
+
+    def client(slot):
+        try:
+            with TcpTransport(*server.address) as transport:
+                while True:
+                    transport.request(request)
+                    served[slot] += 1
+        except (TransportError, ProtocolError):  # the worker went away
+            return
+
+    clients = [threading.Thread(target=client, args=(i,), daemon=True) for i in range(3)]
+    for thread in clients:
+        thread.start()
+    deadline = time.monotonic() + 5.0
+    while min(served) < 5 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert min(served) >= 5  # every client is mid-stream when stop() runs
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    start = time.monotonic()
+    stopper.start()
+    stopper.join(timeout=1.0)
+    assert not stopper.is_alive() and time.monotonic() - start < 1.0
+    for thread in clients:
+        thread.join(timeout=2.0)
+    assert _live_threads_since(before) == []
+    assert server.socket.fileno() == -1
 
 
 # ------------------------------------------------------------ cost accounting

@@ -234,6 +234,25 @@ def test_container_rejects_nonfinite():
         tensor_to_bytes(np.array([1.0, np.inf]))
 
 
+def test_container_refuses_a_value_beyond_the_f32_range():
+    t = np.array([1.0, 1e39])  # finite in f64, inf once cast to f32
+    assert np.array_equal(tensor_from_bytes(tensor_to_bytes(t, "f64")), t)
+    with pytest.raises(ParameterError, match="non-finite"):
+        tensor_to_bytes(t, "f32")
+
+
+@pytest.mark.parametrize("dtype, itemsize", [("f32", 4), ("f64", 8)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_container_reader_refuses_nonfinite_at_its_offset(dtype, itemsize, value):
+    data = bytearray(tensor_to_bytes(np.zeros((2, 3)), dtype))
+    header = 6 + 4 * 2
+    data[header + 4 * itemsize:header + 5 * itemsize] = \
+        np.array([value], dtype=f"<f{itemsize}").tobytes()
+    with pytest.raises(FormatError, match="non-finite") as err:
+        tensor_from_bytes(bytes(data))
+    assert err.value.offset == header + 4 * itemsize
+
+
 @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(["f32", "f64"]))
 @settings(max_examples=25, deadline=None)
 def test_container_round_trip_property(h, w, dtype):
