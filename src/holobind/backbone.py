@@ -64,6 +64,12 @@ def circconv_forward(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     tap loop, so results can differ from it in the last bits.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
+    kh, kw = kernel.shape[:2]
+    return _correlate(kernel, x, kh // 2, kw // 2)
+
+
+def _correlate(kernel: np.ndarray, x: np.ndarray, top: int, left: int) -> np.ndarray:
+    """``circconv_forward`` with the kernel's origin at tap (top, left)."""
     x = np.asarray(x, dtype=np.float64)
     kh, kw, cin, cout = kernel.shape
     if x.shape[-1] != cin:
@@ -73,11 +79,11 @@ def circconv_forward(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     if cin > cout:
         out = np.zeros(x.shape[:-1] + (cout,))
         stacked = kernel.transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
-        per_tap = _wrap_pad(x @ stacked, kh // 2, kw // 2, kh, kw)
+        per_tap = _wrap_pad(x @ stacked, top, left, kh, kw)
         for t, (i, j) in enumerate(taps):
             out += per_tap[..., i:i + h, j:j + w, t * cout:(t + 1) * cout]
         return out
-    padded = _wrap_pad(x, kh // 2, kw // 2, kh, kw)
+    padded = _wrap_pad(x, top, left, kh, kw)
     if cin < cout:
         gathered = np.concatenate(
             [padded[..., i:i + h, j:j + w, :] for i, j in taps], axis=-1)
@@ -94,27 +100,40 @@ def circconv_backward(kernel: np.ndarray, x: np.ndarray, grad_out: np.ndarray):
     """Gradients of circconv_forward w.r.t. kernel and input.
 
     Returns (grad_kernel, grad_input); shapes mirror the forward arguments.
-    The input gradient correlates ``grad_out`` with the flipped kernel, so
-    ``grad_out`` is padded the other way round.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
+    return _circconv_kernel_grad(kernel, x, grad_out), _circconv_input_grad(kernel, grad_out)
+
+
+def _circconv_kernel_grad(kernel: np.ndarray, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Per tap, the wrap-shifted input's channels against ``grad_out``'s."""
+    x = np.asarray(x, dtype=np.float64)
     kh, kw, cin, cout = kernel.shape
     h, w = x.shape[-3], x.shape[-2]
-    ch, cw = kh // 2, kw // 2
-    x_pad = _wrap_pad(x, ch, cw, kh, kw)
-    g_pad = _wrap_pad(grad_out, kh - 1 - ch, kw - 1 - cw, kh, kw)
+    x_pad = _wrap_pad(x, kh // 2, kw // 2, kh, kw)
     g_flat = grad_out.reshape(-1, cout)
     grad_kernel = np.zeros_like(kernel)
-    grad_input = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
             x_tap = x_pad[..., i:i + h, j:j + w, :]
             grad_kernel[i, j] = x_tap.reshape(-1, cin).T @ g_flat
-            gi, gj = kh - 1 - i, kw - 1 - j
-            grad_input += g_pad[..., gi:gi + h, gj:gj + w, :] @ kernel[i, j].T
-    return grad_kernel, grad_input
+    return grad_kernel
+
+
+def _circconv_input_grad(kernel: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """The transposed convolution: ``grad_out`` correlated with the flipped kernel.
+
+    Input pixel p receives ``grad_out[p - i + KH//2] @ kernel[i].T`` from
+    tap i (one axis shown), which is tap KH-1-i of a correlation whose
+    origin sits at KH-1-KH//2; that origin keeps even-sized kernels right.
+    The flipped kernel is copied, because its strided view slows the
+    Cin == Cout path's per-tap products. Each pixel's sum runs in the
+    forward path's order, not tap by tap.
+    """
+    kh, kw = kernel.shape[:2]
+    flipped = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+    return _correlate(flipped, grad_out, kh - 1 - kh // 2, kw - 1 - kw // 2)
 
 
 def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -126,7 +145,15 @@ def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float) -> np.ndarray:
-    return grad_out * np.where(x > 0, 1.0, alpha)
+    """``grad_out`` times 1 where x > 0 and alpha where x <= 0.
+
+    The mask sum gives the multipliers of ``np.where(x > 0, 1.0, alpha)`` bit
+    for bit on any x but NaN, without a per-element select. A NaN in x is
+    neither > 0 nor <= 0, so its multiplier is 0. Training never reaches that
+    case: ``train_toy_model`` raises ``TrainingDivergedError`` on a non-finite
+    loss before any backward runs.
+    """
+    return grad_out * ((x > 0) + alpha * (x <= 0))
 
 
 def dense_forward(weight: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
@@ -143,8 +170,10 @@ def dense_backward(weight: np.ndarray, x_flat: np.ndarray, grad_out: np.ndarray)
 # ------------------------------------------------------------------- layers
 #
 # Every layer method takes a batch: a leading batch axis in front of the
-# item dims. ``backward(t, grad_out)`` gets the layer's forward input and
-# returns (parameter gradient or None, input gradient).
+# item dims. ``param_grad(t, grad_out)`` and ``input_grad(t, grad_out)`` get
+# the layer's forward input and return its parameter gradient (None where it
+# has none) and its input gradient; they are separate so that the first
+# layer's input gradient, which nothing uses, is never computed.
 
 @dataclass(frozen=True)
 class Identity:
@@ -154,8 +183,11 @@ class Identity:
     def forward(self, t):
         return t
 
-    def backward(self, t, grad_out):
-        return None, grad_out
+    def param_grad(self, t, grad_out):
+        return None
+
+    def input_grad(self, t, grad_out):
+        return grad_out
 
 
 @dataclass(frozen=True)
@@ -180,8 +212,11 @@ class CircConv2d:
     def forward(self, t):
         return circconv_forward(self.kernel, t)
 
-    def backward(self, t, grad_out):
-        return circconv_backward(self.kernel, t, grad_out)
+    def param_grad(self, t, grad_out):
+        return _circconv_kernel_grad(self.kernel, t, grad_out)
+
+    def input_grad(self, t, grad_out):
+        return _circconv_input_grad(self.kernel, grad_out)
 
 
 @dataclass(frozen=True)
@@ -194,8 +229,11 @@ class Pointwise:
     def forward(self, t):
         return leaky_relu_forward(t, self.alpha)
 
-    def backward(self, t, grad_out):
-        return None, leaky_relu_backward(t, grad_out, self.alpha)
+    def param_grad(self, t, grad_out):
+        return None
+
+    def input_grad(self, t, grad_out):
+        return leaky_relu_backward(t, grad_out, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -219,9 +257,11 @@ class DenseLayer:
         # one product per item, so an item's output does not depend on its batch
         return dense_forward(self.weight, t.reshape(len(t), 1, -1))[:, 0]
 
-    def backward(self, t, grad_out):
-        grad_weight, grad_input = dense_backward(self.weight, t.reshape(len(t), -1), grad_out)
-        return grad_weight, grad_input.reshape(t.shape)
+    def param_grad(self, t, grad_out):
+        return grad_out.T @ t.reshape(len(t), -1)
+
+    def input_grad(self, t, grad_out):
+        return (grad_out @ self.weight).reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -278,13 +318,16 @@ class BackboneSpec:
         """Each layer's parameter gradient (None where it has none).
 
         ``inputs`` are the layer inputs from ``forward(..., keep_inputs=True)``
-        and ``grad_out`` is the gradient of the loss w.r.t. its outputs.
+        and ``grad_out`` is the gradient of the loss w.r.t. its outputs. The
+        gradient w.r.t. the batch itself is not computed.
         """
         grads = []
-        for layer, t in zip(reversed(self.layers), reversed(inputs)):
-            grad, grad_out = layer.backward(t, grad_out)
-            grads.append(grad)
-        return grads[::-1]
+        for k in reversed(range(len(self.layers))):
+            layer, t = self.layers[k], inputs[k]
+            grads.insert(0, layer.param_grad(t, grad_out))
+            if k:
+                grad_out = layer.input_grad(t, grad_out)
+        return grads
 
 
 # -------------------------------------------------------------- text format

@@ -12,6 +12,7 @@ from holobind.backbone import (
     Pointwise,
     circconv_backward,
     circconv_forward,
+    conv_chain,
     count_flops,
     dense_backward,
     dense_forward,
@@ -34,6 +35,8 @@ from holobind.vsa import sample_secret
 from oracles import (
     central_difference_at,
     direct_circ_crosscorr2d,
+    reference_backbone_backward,
+    reference_backbone_forward,
     roll_circconv_backward,
     roll_circconv_forward,
 )
@@ -48,9 +51,11 @@ def _delta_kernel(kh=3, kw=3):
 # Every kernel path (cin < cout, cin > cout, cin == cout) over several kernel
 # shapes, unbatched and batched. The 2 x 3 and 1 x 2 images are smaller than
 # the 5 x 5 kernel; on the 1 x 2 image its half-width exceeds the image, so
-# the padding wraps more than once.
+# the padding wraps more than once. The 2 x 3 and 4 x 2 kernels put an even
+# extent on each axis, where the input gradient's flipped kernel has its
+# origin on the other side of the center than the forward's.
 CHANNELS = [(1, 3), (3, 1), (2, 2)]
-KERNELS = [(1, 1), (2, 3), (3, 3), (5, 5)]
+KERNELS = [(1, 1), (2, 3), (4, 2), (3, 3), (5, 5)]
 IMAGES = [(6, 5), (2, 3), (1, 2)]
 
 
@@ -104,8 +109,16 @@ def test_circconv_matches_roll_reference(cin, cout):
     # roll kernel; the unequal paths reorder each output's sum of
     # n = kh * kw * cin products, so each side is within gamma_n of the
     # exact sum (Higham, "Accuracy and Stability of Numerical Algorithms",
-    # 3.1) and they differ by at most 2 gamma_n (|kernel| * |x|).
+    # 3.1) and they differ by at most 2 gamma_n (|kernel| * |x|). The kernel
+    # gradient runs the roll kernel's products in its order. The input
+    # gradient is the forward with the flipped kernel, which sums each
+    # pixel's n = kh * kw * cout products in the forward path's order, so
+    # it is held to the same bound on the absolute values.
     eps = np.finfo(np.float64).eps
+
+    def gamma2(n):
+        return 2 * n * eps / (1 - n * eps)
+
     cases = list(_grid(cin, cout, seed=12))
     g = np.random.default_rng(13)
     x = g.normal(size=(4, 16, 16, cin))  # the toy backbone's layer shapes
@@ -117,11 +130,14 @@ def test_circconv_matches_roll_reference(cin, cout):
             assert np.array_equal(out, expected)
         else:
             n = kernel.shape[0] * kernel.shape[1] * cin
-            bound = 2 * n * eps / (1 - n * eps) * roll_circconv_forward(np.abs(kernel), np.abs(x))
+            bound = gamma2(n) * roll_circconv_forward(np.abs(kernel), np.abs(x))
             assert np.all(np.abs(out - expected) <= bound)
-        grads = circconv_backward(kernel, x, up)
-        for got, want in zip(grads, roll_circconv_backward(kernel, x, up)):
-            assert np.array_equal(got, want)
+        grad_k, grad_in = circconv_backward(kernel, x, up)
+        want_k, want_in = roll_circconv_backward(kernel, x, up)
+        assert np.array_equal(grad_k, want_k)
+        n = kernel.shape[0] * kernel.shape[1] * cout
+        magnitude = roll_circconv_backward(np.abs(kernel), np.abs(x), np.abs(up))[1]
+        assert np.all(np.abs(grad_in - want_in) <= gamma2(n) * magnitude)
 
 
 def test_circconv_multichannel_matches_per_channel_sum():
@@ -216,6 +232,22 @@ def test_leaky_relu_forward_is_the_three_way_select_bit_for_bit(alpha):
     ]).reshape(2, -1, 1, 1)
     expected = np.where(x > 0, x, alpha * x)
     assert np.array_equal(leaky_relu_forward(x, alpha).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 1.0, 2.0, -0.3])
+def test_leaky_relu_backward_multiplies_by_one_or_alpha_and_zeroes_nan(alpha):
+    # for any x but NaN the multiplier is np.where(x > 0, 1.0, alpha) bit for
+    # bit; a NaN x is neither > 0 nor <= 0 and gets multiplier 0
+    x = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, np.inf, -np.inf],
+        np.random.default_rng(41).normal(size=4096),
+    ]).reshape(2, -1, 1, 1)
+    up = np.random.default_rng(42).normal(size=x.shape)
+    expected = up * np.where(x > 0, 1.0, alpha)
+    got = leaky_relu_backward(x, up, alpha)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(leaky_relu_backward(np.array([np.nan, 1.0]), np.array([2.0, 3.0]), alpha),
+                          [0.0, 3.0])
 
 
 def test_dense_and_leaky_relu_gradients():
@@ -388,6 +420,25 @@ def test_spec_backward_matches_finite_differences():
         fd = central_difference_at(loss, weight.reshape(-1), range(0, weight.size, 5))
         for j, val in fd.items():
             assert abs(grads[i].reshape(-1)[j] - val) <= 1e-6 * max(1.0, abs(val))
+
+
+class _NoInputGradConv(CircConv2d):
+    def input_grad(self, t, grad_out):
+        raise AssertionError("the first layer's input gradient was computed")
+
+
+def test_spec_backward_never_computes_the_first_layers_input_gradient():
+    params = init_toy_model(5).params
+    spec = conv_chain((16, 16, 1), [_NoInputGradConv(params["conv1"]),
+                                    CircConv2d(params["conv2"]), CircConv2d(params["conv3"])])
+    g = np.random.default_rng(15)
+    xb = g.normal(size=(4, 16, 16, 1))
+    grad_r = g.normal(size=(4, 16, 16, 1))
+    _, inputs = spec.forward(xb, keep_inputs=True)
+    grads = [grad for grad in spec.backward(inputs, grad_r) if grad is not None]
+    _, cache = reference_backbone_forward(params, xb)
+    for mine, theirs in zip(grads, reference_backbone_backward(params, cache, grad_r), strict=True):
+        assert np.array_equal(mine, theirs)
 
 
 # --------------------------------------------------------------------- flops
