@@ -6,6 +6,11 @@ multiplication; 1D tensors use the 1D transform, 2D the 2D transform, and
 own 2D transform; axes in front of an item are batch axes. A projected
 secret has unit spectral magnitude at every frequency, which makes
 unbinding exact rather than approximate.
+
+The bundle probe works on half spectra from the draw to the score: it
+draws the per-item loop's pairs at the same counters, takes one real
+transform per drawn batch and no inverse transform, and scores each pair
+by a Parseval cosine, so its rows equal that loop's within rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +49,12 @@ def spectrum(t: np.ndarray, rank: int | None = None) -> np.ndarray:
     """Forward transform of every rank-``rank`` item (default: the whole tensor)."""
     t = np.asarray(t, dtype=np.float64)
     return np.fft.fftn(t, axes=_axes(t.ndim, rank))
+
+
+def _half_spectrum(t: np.ndarray, rank: int) -> np.ndarray:
+    """:func:`spectrum` of real items cut to the last axis's non-negative frequencies."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.fft.rfftn(t, axes=_axes(t.ndim, rank))
 
 
 def from_spectrum(s: np.ndarray, rank: int | None = None) -> np.ndarray:
@@ -259,6 +270,10 @@ def presence_probe(bundle: Bundle, y, x_candidate: np.ndarray, use_projection: b
     return cosine(unbind(bundle.tensor, y), x_candidate)
 
 
+# Counters per seed (a k-term probe draws 2k + 2) and bundle sizes per mode.
+_PROBE_BLOCK, _PROBE_SIZES = 4096, 64
+
+
 def _probe_dims(d: int):
     side = int(np.sqrt(d))
     if side * side == d:
@@ -275,17 +290,25 @@ def probe_curves(d: int = 1024, ks=(1, 2, 4, 8, 16, 32), n_seeds: int = 100,
     algebra on a sqrt(d) x sqrt(d) grid, other d fall back to 1D. Returns
     one row per (k, mode) with mean/std of both scores, ready for CSV.
 
-    All seeds of one (mode, k) run as one batch, term by term over k. Each
-    item takes the arithmetic of ``bundle_add`` and ``presence_probe`` in
-    the same order, so the rows are bitwise those of the per-item loop.
+    All seeds of one (mode, k) run as one batch in the half spectrum. The
+    pairs are those a per-item loop over ``bundle_add`` and
+    ``presence_probe`` draws, at the same counters. Each drawn batch takes
+    one real transform, the bundle sums X_j * Y_j with no inverse
+    transform, and each score is a Parseval cosine, so the rows equal that
+    loop's within rounding. A seed owns 4096 counters and a mode 64 bundle
+    sizes, so k >= 2048 or more than 64 sizes raise ParameterError.
     """
     ks = [int(k) for k in ks]
     if d < 1 or n_seeds < 1:
         raise ParameterError(f"probe needs d >= 1 and n_seeds >= 1, got {d} and {n_seeds}")
     if not ks or min(ks) < 1:
         raise ParameterError(f"probe needs at least one bundle size, each >= 1, got {ks}")
+    if max(ks) >= _PROBE_BLOCK // 2 or len(ks) > _PROBE_SIZES:
+        raise ParameterError(
+            f"probe takes at most {_PROBE_SIZES} bundle sizes, each below "
+            f"{_PROBE_BLOCK // 2}, got {len(ks)} up to {max(ks)}")
     dims = _probe_dims(int(d))
-    rank, var = len(dims), 1.0 / int(d)
+    var = 1.0 / int(d)
     rows = []
     for mode_idx, mode in enumerate(modes):
         if mode not in ("projected", "naive"):
@@ -295,16 +318,16 @@ def probe_curves(d: int = 1024, ks=(1, 2, 4, 8, 16, 32), n_seeds: int = 100,
             # Disjoint counter blocks keep every (mode, k, seed) draw
             # independent and reproducible: pair j of a seed's bundle is
             # drawn at base + 2j and base + 2j + 1, the absent pair after.
-            bases = ((mode_idx * 64 + k_idx) * n_seeds + np.arange(n_seeds)) * 4096
-            bundle = np.zeros((n_seeds,) + dims)
-            for j in range(k):
-                x, y_spec = _draw_probe_pairs(dims, var, projected, seed, bases + 2 * j)
-                bundle += from_spectrum(_product(spectrum(x, rank), y_spec), rank)
-                if j == 0:
-                    first = x, y_spec
-            xa, ya_spec = _draw_probe_pairs(dims, var, projected, seed, bases + 2 * k)
-            present = _probe_scores(bundle, *first, rank)
-            absent = _probe_scores(bundle, xa, ya_spec, rank)
+            bases = (((mode_idx * _PROBE_SIZES + k_idx) * n_seeds + np.arange(n_seeds))
+                     * _PROBE_BLOCK)
+            first = _draw_probe_pairs(dims, var, projected, seed, bases)
+            bundle = first[0] * first[1]
+            for j in range(1, k):
+                x, y = _draw_probe_pairs(dims, var, projected, seed, bases + 2 * j)
+                bundle += x * y
+            present = _half_cosines(bundle, *first, dims)
+            absent = _half_cosines(bundle, *_draw_probe_pairs(
+                dims, var, projected, seed, bases + 2 * k), dims)
             rows.append({
                 "k": k,
                 "mode": mode,
@@ -325,18 +348,38 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _draw_probe_pairs(dims, var, projected, seed, counters):
-    """(x, spectrum of y) for a batch: x drawn at each counter, y at the next."""
-    rank = len(dims)
+    """Half spectra (X, Y) for a batch: x drawn at each counter, y at the next.
+
+    Projecting the half spectrum checks every frequency: each bin left out
+    is the conjugate of a kept one, with the same magnitude.
+    """
     raw = np.empty((2, len(counters)) + dims)
     for i, counter in enumerate(counters):
         raw[0, i], successor = RngStream(seed, int(counter)).normal(dims, var)
         raw[1, i], _ = successor.normal(dims, var)
+    spec = _half_spectrum(raw, len(dims))
     if projected:
-        raw = from_spectrum(unit_spectrum(spectrum(raw, rank)), rank)
-    return raw[0], spectrum(raw[1], rank)
+        spec = unit_spectrum(spec)
+    return spec[0], spec[1]
 
 
-def _probe_scores(bundle, x, y_spec, rank) -> list:
-    """cosine(unbind(bundle, y), x) for every item of a batch."""
-    retrieved = from_spectrum(_product(spectrum(bundle, rank), _reciprocal(y_spec)), rank)
-    return [cosine(r, xi) for r, xi in zip(retrieved, x)]
+def _half_cosines(b, x, y, dims) -> np.ndarray:
+    """cosine(unbind(b, y), x) for every item of a batch of half spectra.
+
+    By Parseval an inner product of two real items is the sum over their
+    half spectra of Re(U * conj(V)), with weight 2 on each column that also
+    stands for its conjugate: all but DC and, for an even last extent,
+    Nyquist. The common 1/n factor cancels.
+    """
+    r = b * _reciprocal(y)
+    cols = np.arange(r.shape[-1])
+    w = np.where((cols == 0) | (2 * cols == dims[-1]), 1.0, 2.0)
+    axes = _axes(r.ndim, len(dims))
+
+    def inner(u, v):
+        return np.sum(w * (u.real * v.real + u.imag * v.imag), axis=axes)
+
+    rr, xx = inner(r, r), inner(x, x)
+    if np.any(rr == 0.0) or np.any(xx == 0.0):
+        raise ParameterError("cosine undefined for zero-norm input")
+    return np.clip(inner(r, x) / (np.sqrt(rr) * np.sqrt(xx)), -1.0, 1.0)

@@ -198,10 +198,11 @@ def test_missing_input_file_exits_1(tmp_path, capsys, option):
     ["probe", "--seeds", "0"],
     ["probe", "--kmax", "0"],
     ["probe", "--kmax", "-3"],
+    ["probe", "--d", "4", "--seeds", "1", "--kmax", "2048"],
     ["bench", "--spec", "{spec}", "--dims", "16x16x1", "--k", "0"],
 ], ids=["negative_dims", "port_not_a_number", "port_too_large", "probe_d_0",
         "probe_d_negative", "probe_no_seeds", "probe_kmax_0", "probe_kmax_negative",
-        "bench_k_0"])
+        "probe_kmax_2048", "bench_k_0"])
 def test_malformed_numbers_exit_1(tmp_path, capsys, argv):
     spec_path = tmp_path / "id.spec"
     spec_path.write_text("input 16 16 1\nidentity\n")
@@ -243,6 +244,14 @@ def test_probe_csv(tmp_path):
     assert {int(r["k"]) for r in rows} == {1, 2, 4}
     for row in rows:
         float(row["present_mean"]), float(row["absent_std"])
+
+
+def test_probe_zero_norm_bundle_exits_1(capsys, monkeypatch):
+    # At d=1 the projected keys are +-1 and a bundle can sum to zero.
+    monkeypatch.delenv("HOLOBIND_SEED", raising=False)
+    assert main(["probe", "--d", "1", "--kmax", "4", "--seeds", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cosine undefined for zero-norm input\n"
 
 
 def test_bench_csv(tmp_path):

@@ -13,6 +13,8 @@ from holobind.tensor import RngStream
 from holobind.vsa import (
     Bundle,
     Secret,
+    _half_cosines,
+    _half_spectrum,
     bind,
     bind_transpose,
     bundle_add,
@@ -380,12 +382,51 @@ def test_probe_curves_rejects_unknown_mode():
         probe_curves(d=16, ks=(1,), n_seeds=2, seed=0, modes=("psychic",))
 
 
-@pytest.mark.parametrize("d", [64, 48])  # the 2D and the 1D algebra
-def test_probe_curves_equal_the_per_item_probe_bitwise(d):
+# 8x8, 1D even, 7x7, 1D odd: half spectra with and without a Nyquist column
+@pytest.mark.parametrize("d", [64, 48, 49, 47])
+def test_probe_curves_match_the_per_item_probe(d):
+    # Parseval sums over half spectra round differently from time-domain
+    # cosines, so the rows agree within rounding rather than bitwise.
     rows = probe_curves(d=d, ks=(1, 3), n_seeds=7, seed=5)
-    assert rows == per_item_probe_curves(d, (1, 3), 7, 5)
-    assert [(r["k"], r["mode"]) for r in rows] == [
+    ref = per_item_probe_curves(d, (1, 3), 7, 5)
+    assert [(r["k"], r["mode"]) for r in rows] == [(r["k"], r["mode"]) for r in ref] == [
         (1, "projected"), (3, "projected"), (1, "naive"), (3, "naive")]
+    for row, want in zip(rows, ref):
+        assert set(row) == set(want)
+        for col in ("present_mean", "absent_mean", "present_std", "absent_std"):
+            assert abs(row[col] - want[col]) <= 1e-12, (row["k"], row["mode"], col)
+
+
+@pytest.mark.parametrize("dims", [(16,), (15,), (6, 8), (5, 7), (6, 7), (5, 8)])
+def test_half_spectrum_cosines_equal_time_domain_cosines(dims):
+    g = np.random.default_rng(30)
+    b, x, y = (g.normal(size=(5,) + dims) for _ in range(3))
+    rank = len(dims)
+    full = spectrum(b, rank)
+    assert np.max(np.abs(_half_spectrum(b, rank) - full[..., : dims[-1] // 2 + 1])) <= 1e-12
+    scores = _half_cosines(full[..., : dims[-1] // 2 + 1], _half_spectrum(x, rank),
+                           _half_spectrum(y, rank), dims)
+    for i in range(5):
+        want = cosine(unbind(from_spectrum(full[i]), y[i]), x[i])
+        assert abs(scores[i] - want) <= 1e-12
+
+
+def test_probe_curves_refuse_overlapping_counter_blocks():
+    # A seed owns 4096 counters and a k-term probe draws 2k + 2 of them, so
+    # k = 2048 would take the next seed's first pair as its absent pair.
+    probe_curves(d=4, ks=(2047,), n_seeds=2, seed=0, modes=("naive",))
+    with pytest.raises(ParameterError):
+        probe_curves(d=4, ks=(2048,), n_seeds=2, seed=0)
+    # A mode owns 64 bundle sizes; a 65th would draw in the next mode's block.
+    probe_curves(d=4, ks=range(1, 65), n_seeds=1, seed=0, modes=("projected",))
+    with pytest.raises(ParameterError):
+        probe_curves(d=4, ks=range(1, 66), n_seeds=1, seed=0)
+
+
+def test_probe_curves_zero_bundle_raises():
+    # At d=1 the projected keys are +-1, so a 4-term bundle can sum to zero.
+    with pytest.raises(ParameterError, match="zero-norm"):
+        probe_curves(d=1, ks=(4,), n_seeds=7, seed=5)
 
 
 @pytest.mark.parametrize("ks", [(), (0,), (1, -2)])
