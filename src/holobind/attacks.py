@@ -376,12 +376,11 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
         score, grad = score_and_grad(psi)
         trajectory.append(score)
 
-    s_hat = Secret(from_spectrum(np.conj(psi)), seed=rng.seed,
-                   counter=rng.counter, projected=True)
+    s_hat = Secret(from_spectrum(np.conj(psi)), projected=True)
     recovery = None
     if x_true is not None:
         x0 = np.asarray(x_true, dtype=np.float64).reshape(h, w)
-        recovery = cosine(x0, unbind(batch[0], Secret(s_hat.tensor, projected=True)))
+        recovery = cosine(x0, unbind(batch[0], s_hat))
     report = AttackReport(
         name="invert",
         score=trajectory[-1],

@@ -285,7 +285,7 @@ class BackboneSpec:
     def shape_preserving(self) -> bool:
         return self.output_dims == self.input_dims
 
-    def apply(self, t: np.ndarray) -> np.ndarray:
+    def __call__(self, t: np.ndarray) -> np.ndarray:
         """Forward of one item whose shape must be exactly ``input_dims``."""
         t = np.asarray(t, dtype=np.float64)
         if t.shape != self.input_dims:
@@ -332,42 +332,55 @@ class BackboneSpec:
 
 # -------------------------------------------------------------- text format
 
+# values after the kind word on each line
+_ARITY = {"input": 3, "identity": 0, "circconv2d": 5, "pointwise": 2, "dense": 3}
+
+
+def _integer(word: str, least: int = 1) -> int:
+    value = int(word)
+    if value < least:
+        raise ValueError(f"{word} is below {least}")
+    return value
+
+
 def parse_spec(text: str) -> BackboneSpec:
     """Parse the line-oriented spec format.
 
     First non-empty line: ``input H W D``; then one layer per line:
     ``circconv2d kh kw cin cout seed`` | ``pointwise leaky_relu alpha`` |
-    ``dense rows cols seed`` | ``identity``. Weights come deterministically
-    from the per-layer seeds. Shape errors surface here, not at apply time.
+    ``dense rows cols seed`` | ``identity``. Extents are positive integers,
+    seeds non-negative ones and alpha is finite; any other line is a
+    SpecError. Weights come deterministically from the per-layer seeds.
+    Shape errors surface here, not at call time.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("input"):
+    if not lines or lines[0].split()[0] != "input":
         raise SpecError("spec must start with an 'input H W D' line")
-    header = lines[0].split()
-    if len(header) != 4:
-        raise SpecError(f"bad input line: {lines[0]!r}")
-    input_dims = tuple(int(v) for v in header[1:])
-    layers = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
+    input_dims, layers = None, []
+    for ln in lines:
+        kind, *args = ln.split()
+        if kind not in _ARITY or (kind == "input") != (input_dims is None):
+            raise SpecError(f"unknown layer kind {kind!r}")
         try:
-            if kind == "identity":
+            if len(args) != _ARITY[kind]:
+                raise ValueError(f"{kind} takes {_ARITY[kind]} values, got {len(args)}")
+            if kind == "input":
+                input_dims = tuple(_integer(v) for v in args)
+            elif kind == "identity":
                 layers.append(Identity())
-            elif kind == "circconv2d":
-                kh, kw, cin, cout, seed = (int(v) for v in parts[1:6])
-                layers.append(CircConv2d.from_seed(kh, kw, cin, cout, seed))
             elif kind == "pointwise":
-                if parts[1] != "leaky_relu":
-                    raise SpecError(f"unknown pointwise op {parts[1]!r}")
-                layers.append(Pointwise(float(parts[2])))
-            elif kind == "dense":
-                rows, cols, seed = int(parts[1]), int(parts[2]), int(parts[3])
-                layers.append(DenseLayer.from_seed(rows, cols, seed))
-            else:
-                raise SpecError(f"unknown layer kind {kind!r}")
-        except (IndexError, ValueError) as err:
-            raise SpecError(f"bad layer line {ln!r}: {err}") from err
+                if args[0] != "leaky_relu":
+                    raise SpecError(f"unknown pointwise op {args[0]!r}")
+                alpha = float(args[1])
+                if not np.isfinite(alpha):
+                    raise ValueError(f"alpha {args[1]} is not finite")
+                layers.append(Pointwise(alpha))
+            else:  # the extents, then the seed
+                layer = CircConv2d if kind == "circconv2d" else DenseLayer
+                extents = (_integer(v) for v in args[:-1])
+                layers.append(layer.from_seed(*extents, _integer(args[-1], 0)))
+        except ValueError as err:
+            raise SpecError(f"bad line {ln!r}: {err}") from err
     return BackboneSpec(input_dims, tuple(layers))
 
 
@@ -445,8 +458,8 @@ def linear_circconv_commutation_check(spec: BackboneSpec, x: np.ndarray, s) -> f
                 "commutation check requires only identity or 1-channel "
                 f"circconv2d layers, found {type(layer).__name__}"
             )
-    through_binding = unbind(spec.apply(bind(x, s)), s)
-    direct = spec.apply(np.asarray(x, dtype=np.float64))
+    through_binding = unbind(spec(bind(x, s)), s)
+    direct = spec(np.asarray(x, dtype=np.float64))
     return float(np.max(np.abs(through_binding - direct)))
 
 

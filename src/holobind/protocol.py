@@ -135,24 +135,6 @@ def request_size(dims) -> int:
 
 
 # ------------------------------------------------------------ worker handler
-#
-# The worker answers a request in three steps: decode (status 1 when the
-# message is malformed), the backbone (status 2 when it fails) and encode
-# (status 2 when the result does not fit in f32). The single-request and
-# batched paths share the first and last step, so their replies are equal
-# byte for byte.
-
-def _decode_for_worker(data: bytes) -> tuple[BoundRequest | None, bytes | None]:
-    """The request, or the status-1 reply that stands in for it."""
-    request_id = 0
-    if len(data) >= 14 and data[:4] == REQUEST_MAGIC:
-        request_id = struct.unpack_from("<Q", data, 6)[0]
-    try:
-        return decode_request(data), None
-    except ProtocolError as err:
-        log.warning("request %d malformed: %s", request_id, err)
-        return None, encode_response(BoundResponse(request_id, STATUS_MALFORMED, None))
-
 
 def _failure(request_id: int, err: Exception) -> bytes:
     # the payload must never appear in logs; the error names shapes only
@@ -160,58 +142,65 @@ def _failure(request_id: int, err: Exception) -> bytes:
     return encode_response(BoundResponse(request_id, STATUS_APPLY_ERROR, None))
 
 
-def _reply(req: BoundRequest, result, start: float) -> bytes:
-    """The status-0 reply, or status 2 when the result has no finite f32 form."""
-    try:
-        reply = encode_response(BoundResponse(req.request_id, STATUS_OK, result))
-    except ParameterError as err:
-        return _failure(req.request_id, err)
-    log.info("request %d dims=%s served in %.2f ms", req.request_id,
-             tuple(req.payload.shape), (time.perf_counter() - start) * 1e3)
-    return reply
-
-
-def handle_request_bytes(applier, data: bytes) -> bytes:
-    """Decode, run the backbone, encode; never raises on bad input."""
-    start = time.perf_counter()
-    req, refusal = _decode_for_worker(data)
-    if req is None:
-        return refusal
-    try:
-        result = applier(req.payload)
-    except Exception as err:  # any backbone fault is the request's status, not ours
-        return _failure(req.request_id, err)
-    return _reply(req, result, start)
+def handle_request_bytes(spec: BackboneSpec, data: bytes) -> bytes:
+    """The reply to one request body: ``handle_request_batch`` on a batch of one."""
+    return handle_request_batch(spec, [data])[0]
 
 
 def handle_request_batch(spec: BackboneSpec, bodies: list) -> list:
     """One reply per request body, from one ``spec.forward`` over the well-formed ones.
 
-    Each reply equals ``handle_request_bytes(spec.apply, body)`` byte for
-    byte: the forward treats items independently, and a body that is
-    malformed or of another shape keeps its own status without failing
-    the rest.
+    Never raises on bad input. A malformed body gets status 1; a body of
+    another shape, a backbone failure or a result with no finite f32 form
+    gets status 2. The forward treats items independently, so each reply is
+    the one the body would get in a batch of its own.
     """
     start = time.perf_counter()
     replies, runnable = [], []
     for body in bodies:
-        req, refusal = _decode_for_worker(body)
-        if req is not None and req.payload.shape != spec.input_dims:
-            refusal = _failure(req.request_id, ShapeError(
-                f"input dims {req.payload.shape} != spec input {spec.input_dims}"))
-        elif req is not None:
-            runnable.append((len(replies), req))
-        replies.append(refusal)
-    if runnable:
         try:
-            results, _ = spec.forward(np.array([req.payload for _, req in runnable]))
-        except Exception as err:  # as in handle_request_bytes, a status, not a crash
-            for i, req in runnable:
-                replies[i] = _failure(req.request_id, err)
+            req = decode_request(body)
+        except ProtocolError as err:
+            known = len(body) >= 14 and body[:4] == REQUEST_MAGIC
+            request_id = struct.unpack_from("<Q", body, 6)[0] if known else 0
+            log.warning("request %d malformed: %s", request_id, err)
+            replies.append(encode_response(BoundResponse(request_id, STATUS_MALFORMED, None)))
+            continue
+        if req.payload.shape == spec.input_dims:
+            runnable.append((len(replies), req))
+            replies.append(None)
         else:
-            for (i, req), result in zip(runnable, results):
-                replies[i] = _reply(req, result, start)
+            replies.append(_failure(req.request_id, ShapeError(
+                f"input dims {req.payload.shape} != spec input {spec.input_dims}")))
+    if not runnable:
+        return replies
+    try:
+        results, _ = spec.forward(np.array([req.payload for _, req in runnable]))
+    except Exception as err:  # any backbone fault is the request's status, not ours
+        for i, req in runnable:
+            replies[i] = _failure(req.request_id, err)
+        return replies
+    for (i, req), result in zip(runnable, results):
+        try:
+            replies[i] = encode_response(BoundResponse(req.request_id, STATUS_OK, result))
+        except ParameterError as err:  # the result has no finite f32 form
+            replies[i] = _failure(req.request_id, err)
+        else:
+            log.info("request %d dims=%s served in %.2f ms", req.request_id,
+                     tuple(req.payload.shape), (time.perf_counter() - start) * 1e3)
     return replies
+
+
+def _servable(spec) -> BackboneSpec:
+    """``spec`` if a worker can serve it: a BackboneSpec that keeps the input's shape."""
+    if not isinstance(spec, BackboneSpec):
+        raise SpecError(f"the worker serves a BackboneSpec, got {type(spec).__name__}")
+    # the client unbinds the reply with the secret it bound the request
+    # with, which needs the input's shape back
+    if not spec.shape_preserving:
+        raise SpecError(f"cannot serve a spec that maps {spec.input_dims} "
+                        f"to {spec.output_dims}; the shape must be preserved")
+    return spec
 
 
 # ---------------------------------------------------------------- transports
@@ -231,13 +220,13 @@ class Transport:
 
 
 class LoopbackTransport(Transport):
-    """In-process transport running the worker handler directly."""
+    """In-process transport: each request goes through the served worker's handler."""
 
-    def __init__(self, applier):
-        self._applier = applier
+    def __init__(self, spec: BackboneSpec):
+        self.spec = _servable(spec)
 
     def request(self, data: bytes) -> bytes:
-        return handle_request_bytes(self._applier, data)
+        return handle_request_bytes(self.spec, data)
 
 
 class TcpTransport(Transport):
@@ -389,14 +378,7 @@ class WorkerServer:
     """
 
     def __init__(self, spec: BackboneSpec, host: str = "127.0.0.1", port: int = 0):
-        if not isinstance(spec, BackboneSpec):
-            raise SpecError(f"the worker serves a BackboneSpec, got {type(spec).__name__}")
-        # the client unbinds the reply with the secret it bound the request
-        # with, which needs the input's shape back
-        if not spec.shape_preserving:
-            raise SpecError(f"cannot serve a spec that maps {spec.input_dims} "
-                            f"to {spec.output_dims}; the shape must be preserved")
-        self.spec = spec
+        self.spec = _servable(spec)
         self.socket = socket.create_server((host, port), backlog=_LISTEN_BACKLOG)
         self.socket.setblocking(False)
         self._wake, self._waker = socket.socketpair()  # stop() writes to the waker

@@ -470,9 +470,9 @@ def load_model(path) -> ToyModel:
     return ToyModel(params, n_classes, (h, w, d), seed)
 
 
-def backbone_applier(model: ToyModel):  # perfbench wraps this
-    """Single-tensor forward of the trained backbone, for serving."""
-    return model.backbone.apply
+def backbone_applier(model: ToyModel) -> BackboneSpec:  # perfbench wraps this
+    """The trained backbone, for serving; the spec is called on one item."""
+    return model.backbone
 
 
 def bound_views(dims, images: np.ndarray, rng: RngStream):

@@ -77,11 +77,9 @@ def unit_spectrum(spec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Secret:
-    """A client-held binding key plus the stream state that generated it."""
+    """A client-held binding key; ``projected`` marks a unit-spectrum key."""
 
     tensor: np.ndarray
-    seed: int = 0
-    counter: int = 0
     projected: bool = False
 
     def erase(self) -> None:
@@ -173,7 +171,7 @@ def sample_secret(dims, rng: RngStream) -> tuple[Secret, RngStream]:
     for attempt in range(1 + _SAMPLE_RETRIES):
         raw, successor = rng.normal(dims, 1.0 / d)
         try:
-            return Secret(project(raw), rng.seed, rng.counter, projected=True), successor
+            return Secret(project(raw), projected=True), successor
         except DegenerateSpectrumError:
             if attempt == _SAMPLE_RETRIES:
                 raise

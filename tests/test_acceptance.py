@@ -361,7 +361,7 @@ def test_criterion_10_inversion_attacks(dataset, trained):
 def test_criterion_11_protocol(dataset, trained):
     model, _ = trained
     x = dataset.test_images[0]
-    recorder = TranscriptRecorder(LoopbackTransport(identity_spec(x.shape).apply))
+    recorder = TranscriptRecorder(LoopbackTransport(identity_spec(x.shape)))
     seed_stream = RngStream(44)
     plan = QueryPlan(3, seed_stream, recorder)
     remote = client_infer(x, plan, model)

@@ -86,7 +86,7 @@ def _oracle_forward(kernel, x):
 def test_identity_spec_apply():
     spec = identity_spec((4, 4, 1))
     t = np.random.default_rng(0).normal(size=(4, 4, 1))
-    assert np.array_equal(spec.apply(t), t)
+    assert np.array_equal(spec(t), t)
 
 
 def test_delta_kernel_is_identity():
@@ -316,7 +316,7 @@ def test_spec_round_trip_and_determinism():
     text = serialize_spec(spec)
     again = parse_spec(text)
     x = np.random.default_rng(11).normal(size=(16, 16, 1))
-    assert np.array_equal(spec.apply(x), again.apply(x))
+    assert np.array_equal(spec(x), again(x))
     assert again.shape_preserving
 
 
@@ -328,19 +328,33 @@ def test_spec_shape_chain_validated_at_load():
         parse_spec("circconv2d 3 3 1 1 7\n")
     with pytest.raises(SpecError):
         parse_spec("input 8 8 1\nwarp 1 2\n")
+    # a field that is not a positive integer (a seed may be 0), a line with
+    # too many or too few words, and a non-finite alpha
+    for line in ["input 16 a 1", "input 16 16 0", "input 16 16 1 2",
+                 "input 16 16 1\ncircconv2d 3 3 0 16 1", "input 16 16 1\ncircconv2d 0 3 1 1 1",
+                 "input 16 16 1\ncircconv2d 3 3 1 1 -1", "input 16 16 1\ncircconv2d 3 3 1 1",
+                 "input 16 16 1\ncircconv2d 3 3 1 1 1 extra", "input 16 16 1\ndense 4 0 1",
+                 "input 16 16 1\ndense 4 256 1.5", "input 16 16 1\npointwise leaky_relu",
+                 "input 16 16 1\npointwise leaky_relu inf",
+                 "input 16 16 1\npointwise leaky_relu nan", "input 16 16 1\nidentity 1",
+                 "input 16 16 1\ninput 16 16 1"]:
+        with pytest.raises(SpecError):
+            parse_spec(line + "\n")
+    seeded_0 = parse_spec("input 4 4 1\ncircconv2d 3 3 1 1 0\n")
+    assert parse_spec(serialize_spec(seeded_0)).layers[0].seed == 0
 
 
 def test_spec_apply_rejects_wrong_input_dims():
     spec = toy_fw_spec()
     with pytest.raises(ShapeError):
-        spec.apply(np.zeros((8, 8, 1)))
+        spec(np.zeros((8, 8, 1)))
 
 
 def test_dense_layer_output_dims():
     spec = parse_spec("input 4 4 1\ndense 10 16 3\n")
     assert spec.output_dims == (10,)
     assert not spec.shape_preserving
-    out = spec.apply(np.ones((4, 4, 1)))
+    out = spec(np.ones((4, 4, 1)))
     assert out.shape == (10,)
 
 
@@ -375,7 +389,7 @@ def test_batched_forward_matches_per_item_apply(kind):
         out, inputs = spec.forward(batch)
         assert inputs == [] and out.shape == (n,) + spec.output_dims
         for item, row in zip(batch, out):
-            assert np.array_equal(spec.apply(item), row)
+            assert np.array_equal(spec(item), row)
         assert np.array_equal(spec.forward(batch, keep_inputs=True)[0], out)
 
 

@@ -13,7 +13,16 @@ import numpy as np
 
 from holobind import trainer
 from holobind.backbone import identity_spec
-from holobind.protocol import LoopbackTransport, QueryPlan, client_infer
+from holobind.protocol import (
+    LoopbackTransport,
+    QueryPlan,
+    TcpTransport,
+    TranscriptRecorder,
+    WorkerServer,
+    client_infer,
+    decode_request,
+    decode_response,
+)
 from holobind.tensor import RngStream
 from holobind.trainer import init_toy_model
 
@@ -44,7 +53,7 @@ def test_traced_query_runs_the_head_once(monkeypatch):
     tracer = tracer_mod.Tracer()
     layers.install_query_tracing(tracer)
     try:
-        plan = QueryPlan(3, RngStream(50), LoopbackTransport(identity_spec((16, 16, 1)).apply))
+        plan = QueryPlan(3, RngStream(50), LoopbackTransport(identity_spec((16, 16, 1))))
         dist = client_infer(np.ones((16, 16, 1)), plan, init_toy_model(12))
     finally:
         tracer.restore()
@@ -52,6 +61,25 @@ def test_traced_query_runs_the_head_once(monkeypatch):
     assert abs(float(np.sum(dist)) - 1.0) <= 1e-12
     assert names.count("trainer.head") == 1
     assert names.count("protocol.encode") == 3 and names.count("protocol.decode") == 3
+
+
+def test_benchmark_verify_calls_agree_with_the_served_worker():
+    # query_k10 re-runs a query through LoopbackTransport(trainer.backbone_applier(model))
+    # and serve_open calls trainer.backbone_applier(model) on one payload; each
+    # must give what WorkerServer(model.backbone) serves.
+    model = init_toy_model(13)
+    x = np.random.default_rng(51).normal(size=(16, 16, 1))
+    with WorkerServer(model.backbone) as server, TcpTransport(*server.address) as tcp:
+        recorder = TranscriptRecorder(tcp)
+        wire = client_infer(x, QueryPlan(10, RngStream(52), recorder), model)
+    loopback = LoopbackTransport(trainer.backbone_applier(model))
+    local = client_infer(x, QueryPlan(10, RngStream(52), loopback), model)
+    assert np.max(np.abs(wire - local)) <= 1e-5
+    assert len(recorder.received) == 10
+    applier = trainer.backbone_applier(model)
+    for sent, reply in zip(recorder.sent, recorder.received):
+        expect = applier(decode_request(sent).payload).astype(np.float32)
+        assert np.array_equal(decode_response(reply).payload, expect)
 
 
 def test_worker_hooks_install_restore_and_trace_the_model_backbone(monkeypatch):

@@ -285,6 +285,23 @@ def test_bench_dims_that_differ_from_the_spec_input_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_malformed_spec_file_exits_1_without_a_traceback(tmp_path):
+    spec_path = tmp_path / "bad.spec"
+    out = tmp_path / "bench.csv"
+    for body in ["input 16 a 1", "circconv2d 3 3 0 16 1", "circconv2d 0 3 1 1 1", "dense 4 0 1",
+                 "circconv2d 3 3 1 1 1 extra", "pointwise leaky_relu inf",
+                 "pointwise leaky_relu nan"]:
+        text = body if body.startswith("input") else "input 16 16 1\n" + body
+        spec_path.write_text(text + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "holobind.cli", "bench", "--spec", str(spec_path),
+             "--dims", "16x16x1", "--out", str(out)],
+            capture_output=True, text=True, timeout=30, env=_cli_env())
+        assert proc.returncode == 1, body
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, body
+        assert "Traceback" not in proc.stderr and not out.exists()
+
+
 def test_ablate_csv(tmp_path):
     out = tmp_path / "ablate.csv"
     assert main(["ablate", "--seed", "4", "--out", str(out)]) == 0

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobind import protocol, vsa
-from holobind.backbone import BackboneSpec, CircConv2d, identity_spec, toy_fw_spec
+from holobind.backbone import BackboneSpec, CircConv2d, identity_spec, parse_spec, toy_fw_spec
 from holobind.errors import (
     DegenerateSpectrumError,
     ParameterError,
     ProtocolError,
     RemoteFailureError,
     ShapeError,
+    SpecError,
     TransportError,
 )
 from holobind.protocol import (
@@ -53,6 +54,29 @@ from oracles import per_replicate_client_infer
 
 def _f32(arr):
     return np.asarray(arr).astype(np.float32).astype(np.float64)
+
+
+class _FailingLayer:
+    """A shape-keeping layer whose forward raises ``failure`` on the given calls (1-based).
+
+    With ``on`` None every call fails; any other call passes its input through.
+    """
+
+    def __init__(self, failure, on=None):
+        self.failure, self.on, self.calls = failure, on, 0
+
+    def output_dims(self, dims):
+        return dims
+
+    def forward(self, t):
+        self.calls += 1
+        if self.on is None or self.calls in self.on:
+            raise self.failure
+        return t
+
+
+def _failing_spec(dims, failure, on=None):
+    return BackboneSpec(dims, (_FailingLayer(failure, on),))
 
 
 # ------------------------------------------------------------------ encoding
@@ -120,7 +144,7 @@ def test_unknown_status_rejected():
 def test_handler_identity_echoes_payload():
     payload = _f32(np.random.default_rng(3).normal(size=(8, 8, 1)))
     spec = identity_spec((8, 8, 1))
-    reply = handle_request_bytes(spec.apply, encode_request(BoundRequest(5, payload)))
+    reply = handle_request_bytes(spec, encode_request(BoundRequest(5, payload)))
     resp = decode_response(reply)
     assert resp.request_id == 5 and resp.status == STATUS_OK
     assert np.array_equal(resp.payload, payload)
@@ -130,45 +154,44 @@ def test_handler_deterministic_bytes():
     payload = _f32(np.random.default_rng(4).normal(size=(16, 16, 1)))
     spec = toy_fw_spec()
     msg = encode_request(BoundRequest(11, payload))
-    assert handle_request_bytes(spec.apply, msg) == handle_request_bytes(spec.apply, msg)
+    assert handle_request_bytes(spec, msg) == handle_request_bytes(spec, msg)
 
 
 def test_handler_malformed_keeps_request_id():
-    msg = bytearray(encode_request(BoundRequest(31, _f32(np.ones((2, 2))))))
+    msg = bytearray(encode_request(BoundRequest(31, _f32(np.ones((2, 2, 1))))))
     msg[ENVELOPE_SIZE] = 0x58  # corrupt container magic
-    resp = decode_response(handle_request_bytes(lambda t: t, bytes(msg)))
+    resp = decode_response(handle_request_bytes(identity_spec((2, 2, 1)), bytes(msg)))
     assert resp.status == STATUS_MALFORMED
     assert resp.request_id == 31
 
 
 def test_handler_apply_failure_status():
-    def broken(t):
-        raise ValueError("boom")
-
-    msg = encode_request(BoundRequest(3, _f32(np.ones((2, 2)))))
-    resp = decode_response(handle_request_bytes(broken, msg))
-    assert resp.status == STATUS_APPLY_ERROR
+    spec = _failing_spec((2, 2, 1), ValueError("boom"))
+    msg = encode_request(BoundRequest(3, _f32(np.ones((2, 2, 1)))))
+    resp = decode_response(handle_request_bytes(spec, msg))
+    assert resp.status == STATUS_APPLY_ERROR and resp.request_id == 3
+    assert spec.layers[0].calls == 1  # the failure came from the backbone
 
 
 @pytest.mark.parametrize("dims", [(2, 16, 16, 1), (8, 8, 1), (64, 64, 1)])
 def test_handler_model_backbone_refuses_other_dims(dims):
-    # A --model worker runs the same strict BackboneSpec.apply as a --spec
+    # A --model worker runs the same handler on a BackboneSpec as a --spec
     # worker, so a payload of any other shape costs no backbone pass.
     msg = encode_request(BoundRequest(4, np.zeros(dims)))
-    for applier in (backbone_applier(init_toy_model(7)), toy_fw_spec().apply):
-        resp = decode_response(handle_request_bytes(applier, msg))
+    for spec in (backbone_applier(init_toy_model(7)), toy_fw_spec()):
+        resp = decode_response(handle_request_bytes(spec, msg))
         assert resp.status == STATUS_APPLY_ERROR and resp.request_id == 4
 
 
 def test_handler_logs_metadata_never_payload(caplog):
     import logging
 
-    payload = _f32(np.full((2, 2), 7.125))  # value with a distinctive repr
+    payload = _f32(np.full((2, 2, 1), 7.125))  # value with a distinctive repr
     msg = encode_request(BoundRequest(99, payload))
     with caplog.at_level(logging.INFO, logger="holobind.protocol"):
-        handle_request_bytes(lambda t: t, msg)
+        handle_request_bytes(identity_spec((2, 2, 1)), msg)
     joined = " ".join(rec.getMessage() for rec in caplog.records)
-    assert "99" in joined and "(2, 2)" in joined
+    assert "99" in joined and "(2, 2, 1)" in joined
     assert "7.125" not in joined
 
 
@@ -197,8 +220,8 @@ def test_non_finite_request_is_malformed(value):
         decode_request(msg)
     assert err.value.offset == ENVELOPE_SIZE + 6 + 12 + 4 * 9  # the bad value's bytes
     spec = identity_spec((4, 4, 1))
-    reply = LoopbackTransport(spec.apply).request(msg)
-    assert reply == handle_request_bytes(spec.apply, msg) == handle_request_batch(spec, [msg])[0]
+    reply = LoopbackTransport(spec).request(msg)
+    assert reply == handle_request_bytes(spec, msg) == handle_request_batch(spec, [msg])[0]
     resp = decode_response(reply)
     assert resp.status == STATUS_MALFORMED and resp.request_id == 12
 
@@ -222,7 +245,7 @@ def test_client_refuses_a_non_finite_reply():
 def test_result_beyond_f32_range_gets_status_2():
     spec = _scaling_spec((2, 2, 1), 4.0)
     msg = encode_request(BoundRequest(6, np.full((2, 2, 1), 1e38)))  # 4e38 > f32 max
-    reply = handle_request_bytes(spec.apply, msg)
+    reply = handle_request_bytes(spec, msg)
     resp = decode_response(reply)
     assert resp.status == STATUS_APPLY_ERROR and resp.request_id == 6
     assert handle_request_batch(spec, [msg]) == [reply]
@@ -245,7 +268,7 @@ def test_batch_replies_equal_the_single_request_handler():
     spec = toy_fw_spec((8, 8, 1), seed=31)
     bodies = _mixed_bodies((8, 8, 1), np.random.default_rng(32), 20)  # over FORWARD_BLOCK
     replies = handle_request_batch(spec, bodies)
-    assert replies == [handle_request_bytes(spec.apply, body) for body in bodies]
+    assert replies == [handle_request_batch(spec, [body])[0] for body in bodies]
     statuses = [decode_response(r).status for r in replies]
     assert statuses.count(STATUS_OK) == 20
     assert statuses.count(STATUS_MALFORMED) == 4 and statuses.count(STATUS_APPLY_ERROR) == 1
@@ -253,10 +276,17 @@ def test_batch_replies_equal_the_single_request_handler():
 
 # ------------------------------------------------------------------ loopback
 
+@pytest.mark.parametrize("entry", [LoopbackTransport, WorkerServer])
+@pytest.mark.parametrize("spec", [lambda t: t, parse_spec("input 4 4 1\ndense 10 16 3\n")],
+                         ids=["callable", "shape_changing"])
+def test_loopback_and_worker_refuse_the_same_specs(entry, spec):
+    with pytest.raises(SpecError):
+        entry(spec)
+
 def test_loopback_end_to_end_identity_matches_local():
     model = init_toy_model(3)
     x = np.random.default_rng(5).normal(size=(16, 16, 1))
-    plan = QueryPlan(1, RngStream(21), LoopbackTransport(identity_spec((16, 16, 1)).apply))
+    plan = QueryPlan(1, RngStream(21), LoopbackTransport(identity_spec((16, 16, 1))))
     remote = client_infer(x, plan, model)
     local, _ = _head_forward(model.params, "p", x.reshape(1, -1))
     assert np.max(np.abs(remote - local[0])) <= 1e-5
@@ -265,7 +295,7 @@ def test_loopback_end_to_end_identity_matches_local():
 def test_loopback_k_replicates_still_match_local():
     model = init_toy_model(4)
     x = np.random.default_rng(6).normal(size=(16, 16, 1))
-    plan = QueryPlan(3, RngStream(22), LoopbackTransport(identity_spec((16, 16, 1)).apply))
+    plan = QueryPlan(3, RngStream(22), LoopbackTransport(identity_spec((16, 16, 1))))
     remote = client_infer(x, plan, model)
     local, _ = _head_forward(model.params, "p", x.reshape(1, -1))
     assert np.max(np.abs(remote - local[0])) <= 1e-5
@@ -276,7 +306,7 @@ def test_loopback_k_replicates_still_match_local():
 def test_round_count_and_request_sizes():
     model = init_toy_model(5)
     x = np.random.default_rng(7).normal(size=(16, 16, 1))
-    recorder = TranscriptRecorder(LoopbackTransport(identity_spec((16, 16, 1)).apply))
+    recorder = TranscriptRecorder(LoopbackTransport(identity_spec((16, 16, 1))))
     plan = QueryPlan(4, RngStream(23), recorder)
     client_infer(x, plan, model)
     assert len(recorder.sent) == 4 and len(recorder.received) == 4
@@ -290,7 +320,7 @@ def test_round_count_and_request_sizes():
 def test_no_secret_bytes_in_transcript():
     model = init_toy_model(6)
     x = np.random.default_rng(8).normal(size=(16, 16, 1))
-    recorder = TranscriptRecorder(LoopbackTransport(identity_spec((16, 16, 1)).apply))
+    recorder = TranscriptRecorder(LoopbackTransport(identity_spec((16, 16, 1))))
     seed_stream = RngStream(24)
     plan = QueryPlan(3, seed_stream, recorder)
     client_infer(x, plan, model)
@@ -309,9 +339,7 @@ def test_no_secret_bytes_in_transcript():
 
 
 def test_client_surfaces_remote_failure():
-    def broken(t):
-        raise ValueError("no")
-
+    broken = _failing_spec((16, 16, 1), ValueError("no"))
     model = init_toy_model(7)
     x = np.random.default_rng(9).normal(size=(16, 16, 1))
     plan = QueryPlan(1, RngStream(25), LoopbackTransport(broken))
@@ -321,8 +349,8 @@ def test_client_surfaces_remote_failure():
 
 
 def _recording_transport(kind, model):
-    applier = identity_spec((16, 16, 1)).apply if kind == "identity" else backbone_applier(model)
-    return TranscriptRecorder(LoopbackTransport(applier))
+    spec = identity_spec((16, 16, 1)) if kind == "identity" else backbone_applier(model)
+    return TranscriptRecorder(LoopbackTransport(spec))
 
 
 @pytest.mark.parametrize("kind", ["identity", "toy_backbone"])
@@ -408,10 +436,10 @@ def test_client_infer_scrubs_secret_spectra_on_every_exit(monkeypatch):
     monkeypatch.setattr(vsa, "unit_spectrum", keeping)
     model = init_toy_model(10)
     x = np.random.default_rng(32).normal(size=(16, 16, 1))
-    identity = identity_spec((16, 16, 1)).apply
+    identity = identity_spec((16, 16, 1))
     client_infer(x, QueryPlan(3, RngStream(27), LoopbackTransport(identity)), model)
     # the second replicate fails: at the worker, then on the wire
-    remote = LoopbackTransport(_second_call_fails(identity, ValueError("down")))
+    remote = LoopbackTransport(_failing_spec((16, 16, 1), ValueError("down"), on={2}))
     with pytest.raises(RemoteFailureError):
         client_infer(x, QueryPlan(3, RngStream(28), remote), model)
     wire = LoopbackTransport(identity)
@@ -424,7 +452,7 @@ def test_client_infer_scrubs_secret_spectra_on_every_exit(monkeypatch):
 
 def test_query_plan_validates_k():
     with pytest.raises(ParameterError):
-        QueryPlan(0, RngStream(1), LoopbackTransport(lambda t: t))
+        QueryPlan(0, RngStream(1), LoopbackTransport(identity_spec((16, 16, 1))))
 
 
 # ----------------------------------------------------------------------- tcp
@@ -447,7 +475,7 @@ def test_tcp_worker_serves_concurrent_clients():
                         resp = decode_response(reply)
                         assert resp.request_id == rid
                         assert resp.status == STATUS_OK
-                        expected = spec.apply(payload)
+                        expected = spec(payload)
                         assert np.max(np.abs(resp.payload - _f32(expected))) <= 1e-6
             except Exception as exc:  # surface thread failures in the test
                 failures.append((tag, exc))
@@ -583,7 +611,6 @@ _request_bodies = st.one_of(
 
 def test_fuzzed_frames_never_break_the_worker():
     spec = identity_spec((4, 4, 1))
-    applier = spec.apply
     with WorkerServer(spec) as server:
 
         @settings(max_examples=30, deadline=None)
@@ -595,7 +622,7 @@ def test_fuzzed_frames_never_break_the_worker():
                     sock.sendall(_frame(body))
                     reply = _read_frame(rfile)
                     assert decode_response(reply).status in (0, 1, 2)
-                    assert reply == handle_request_bytes(applier, body)
+                    assert reply == handle_request_batch(spec, [body])[0]
                 sock.sendall(tail)  # a partial or oversized frame, then a hang-up
                 rfile.close()
 
@@ -703,7 +730,7 @@ def test_interleaved_frames_get_the_single_request_handlers_replies(monkeypatch)
             for sock, bodies in zip(socks, streams):
                 rfile = sock.makefile("rb")
                 assert [_read_frame(rfile) for _ in bodies] == \
-                    [handle_request_bytes(spec.apply, body) for body in bodies]
+                    [handle_request_batch(spec, [body])[0] for body in bodies]
                 rfile.close()
         finally:
             for sock in socks:
