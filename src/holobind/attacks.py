@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .tensor import RngStream
-# Imported by name, so a benchmark that wraps trainer.adam_step times only
-# the training steps.
+# Imported by name, so a benchmark that wraps trainer.adam_step or vsa.project
+# times only the training steps or the probe.
 from .trainer import _HIDDEN, AdamState, _head_backward, _head_forward, adam_step
-from .vsa import Secret, cosine, from_spectrum, spectrum, unbind, unit_spectrum
+from .vsa import (Secret, cosine, from_spectrum, inverse, project, spectrum, unbind,
+                  unit_spectrum)
 
 EPS_PSD = 1e-8
 
@@ -77,6 +78,26 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
+def _frechet(stats: GaussianStats, ref: GaussianStats, ref_root: np.ndarray):
+    """(squared 2-Wasserstein distance, transport map) from stats to ref.
+
+    One symmetric eigendecomposition of K = R^1/2 S R^1/2 gives both, as
+    tr((S^1/2 R S^1/2)^1/2) = tr(K^1/2) (Dowson & Landau, 1982). The score
+    clamps K's eigenvalues at 0; the map T = R^1/2 K^-1/2 R^1/2, which
+    carries N(S) onto N(R) and makes the score's S-gradient I - T, floors
+    them at 1e-12. ``ref_root`` is R^1/2.
+    """
+    k = ref_root @ stats.cov @ ref_root
+    w, v = np.linalg.eigh(0.5 * (k + k.T))
+    if np.min(w) < -EPS_PSD * max(1.0, float(np.max(np.abs(w)))):
+        raise ParameterError(f"matrix is not PSD within tolerance (min eig {np.min(w):.3e})")
+    mean_term = float(np.sum((stats.mean - ref.mean) ** 2))
+    cross = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    score = mean_term + float(np.trace(stats.cov) + np.trace(ref.cov) - 2.0 * cross)
+    transport = ref_root @ ((v / np.sqrt(np.clip(w, 1e-12, None))) @ v.T) @ ref_root
+    return score, transport
+
+
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """Squared 2-Wasserstein distance between Gaussians.
 
@@ -86,10 +107,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """
     if a.mean.shape != b.mean.shape:
         raise ParameterError(f"dimension mismatch: {a.mean.shape} vs {b.mean.shape}")
-    root_a = _psd_sqrt(a.cov)
-    cross = _psd_sqrt(root_a @ b.cov @ root_a)
-    mean_term = float(np.sum((a.mean - b.mean) ** 2))
-    return mean_term + float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
+    return _frechet(a, b, _psd_sqrt(b.cov))[0]
 
 
 # -------------------------------------------------------------------- kmeans
@@ -287,52 +305,34 @@ class InversionResult:
     recovery_cosine: float | None = None
 
 
-def _frechet_score_and_mean_grad(z: np.ndarray, ref: GaussianStats):
-    """Score and per-point gradient of the Frechet distance of z's stats.
+def _inversion_objective(batch: np.ndarray, reference: ReferencePrior):
+    """Score and gradient of a candidate real unbinding filter f.
 
-    One eigendecomposition of S serves both, so the score is
-    ``frechet_distance`` with S's eigenvalues floored at 1e-12, not at 0.
+    The unbound batch (each bound tensor circularly convolved with f) enters
+    the score only through its PCA coordinates, which are linear in f:
+    ``z = A @ f - center @ components.T``, where row (n, p) of the real
+    (n*p, h*w) matrix A is bound tensor n circularly correlated with
+    component p. A step is two real products and one Frechet evaluation.
     """
-    n = z.shape[0]
-    stats = fit_gaussian_stats(z)
-    # transport map T = S^-1/2 (S^1/2 R S^1/2)^1/2 S^-1/2; grad_S = I - T
-    w, v = np.linalg.eigh(0.5 * (stats.cov + stats.cov.T))
-    w = np.clip(w, 1e-12, None)
-    root = (v * np.sqrt(w)) @ v.T
-    inv_root = (v / np.sqrt(w)) @ v.T
-    cross = _psd_sqrt(root @ ref.cov @ root)
-    mean_term = float(np.sum((stats.mean - ref.mean) ** 2))
-    score = mean_term + float(np.trace(stats.cov) + np.trace(ref.cov) - 2.0 * np.trace(cross))
-    transport = inv_root @ cross @ inv_root
-    grad_cov = np.eye(z.shape[1]) - transport
-    centered = z - stats.mean
-    grad_z = (2.0 / n) * (stats.mean - ref.mean)[None, :] + \
-        (2.0 / (n - 1)) * centered @ grad_cov.T
-    return score, grad_z
-
-
-def _inversion_objective(specs: np.ndarray, reference: ReferencePrior):
-    """Score and Wirtinger gradient of a candidate unbinding spectrum psi.
-
-    The unbound batch ``u = ifft(specs * psi)`` enters the score only
-    through its PCA coordinates ``z = (u - center) @ components.T``, which
-    are linear in psi. By Parseval ``z = Re(M @ psi) - center @ components.T``
-    with ``M[n, p, f] = specs[n, f] * conj(C[p, f]) / (h * w)``, C the
-    components' spectra, so a step costs two contractions and no transform.
-    """
-    n, h, w = specs.shape
+    n, h, w = batch.shape
     pca = reference.pca
     if pca.components.shape[1] != h * w:
         raise ShapeError(f"reference components of size {pca.components.shape[1]} "
                          f"do not fit {h}x{w} bound tensors")
-    comps = spectrum(pca.components.reshape(-1, h, w), 2).reshape(-1, h * w)
-    m = (specs.reshape(n, 1, h * w) * np.conj(comps)[None] / (h * w)).reshape(-1, h * w)
+    comps = spectrum(pca.components.reshape(-1, h, w), 2)
+    a = from_spectrum(np.conj(spectrum(batch, 2))[:, None] * comps, 2).reshape(-1, h * w)
     offset = pca.center @ pca.components.T
+    ref = reference.stats
+    ref_root = _psd_sqrt(ref.cov)
+    identity = np.eye(len(ref.mean))
 
-    def score_and_grad(psi):
-        z = (m @ psi.ravel()).real.reshape(n, -1) - offset
-        score, grad_z = _frechet_score_and_mean_grad(z, reference.stats)
-        return score, np.conj(grad_z.ravel() @ m).reshape(h, w)
+    def score_and_grad(f):
+        z = (a @ f.ravel()).reshape(n, -1) - offset
+        stats = fit_gaussian_stats(z)
+        score, transport = _frechet(stats, ref, ref_root)
+        grad_z = (2.0 / n) * (stats.mean - ref.mean)[None, :] + \
+            (2.0 / (n - 1)) * (z - stats.mean) @ (identity - transport)
+        return score, (grad_z.ravel() @ a).reshape(h, w)
 
     return score_and_grad
 
@@ -341,13 +341,14 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
                      rng: RngStream, x_true=None, s_init: Secret | None = None,
                      validate_gradient: bool = True,  # perfbench wraps this
                      recovery_threshold: float = 0.2) -> InversionResult:
-    """Projected gradient descent on a candidate secret's spectrum.
+    """Projected gradient descent on a real unbinding filter.
 
     ``bound`` is the batch of bound tensors the adversary collected; one
-    shared candidate is optimized to make the whole unbound batch look like
-    the reference distribution. After every step the candidate is
-    re-projected to unit spectral magnitude. The analytic gradient through
-    the unbinding map is finite-difference checked once at the start.
+    shared filter is optimized to make the whole unbound batch look like
+    the reference distribution. After every step the filter is re-projected
+    to unit spectral magnitude. ``lr`` is a step on the filter's spectrum,
+    which the unnormalized transform makes h*w times a step on the filter.
+    The analytic gradient is finite-difference checked once at the start.
     """
     batch = np.asarray(bound, dtype=np.float64)
     if batch.ndim == 4 and batch.shape[-1] == 1:
@@ -355,28 +356,28 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
     if batch.ndim != 3:
         raise ShapeError(f"expected a batch of 2D bound tensors, got shape {batch.shape}")
     n, h, w = batch.shape
-    score_and_grad = _inversion_objective(spectrum(batch, 2), reference)
+    score_and_grad = _inversion_objective(batch, reference)
 
     if s_init is not None:
-        psi = 1.0 / spectrum(s_init.tensor.reshape(h, w))
+        filt = inverse(s_init.tensor.reshape(h, w))
     else:
         raw, rng = rng.normal((h, w), 1.0)
-        psi = np.conj(unit_spectrum(spectrum(raw)))
+        filt = from_spectrum(np.conj(unit_spectrum(spectrum(raw))))
 
     if validate_gradient:
-        _validate_inversion_gradient(score_and_grad, psi, rng)
+        _validate_inversion_gradient(score_and_grad, filt, rng)
 
     trajectory = []
-    score, grad = score_and_grad(psi)
+    score, grad = score_and_grad(filt)
     trajectory.append(score)
     for step in range(steps):
-        if not np.all(np.isfinite(grad.view(np.float64))):
+        if not np.all(np.isfinite(grad)):
             raise ParameterError(f"non-finite inversion gradient at step {step}")
-        psi = unit_spectrum(psi - lr * grad)
-        score, grad = score_and_grad(psi)
+        filt = project(filt - (lr / (h * w)) * grad)
+        score, grad = score_and_grad(filt)
         trajectory.append(score)
 
-    s_hat = Secret(from_spectrum(np.conj(psi)), projected=True)
+    s_hat = Secret(from_spectrum(np.conj(spectrum(filt))), projected=True)
     recovery = None
     if x_true is not None:
         x0 = np.asarray(x_true, dtype=np.float64).reshape(h, w)
@@ -394,22 +395,18 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
     return InversionResult(s_hat, trajectory, report, recovery)
 
 
-def _validate_inversion_gradient(score_and_grad, psi, rng, eps=1e-6, tol=1e-3):
-    """FD-check the analytic gradient in the real filter domain; perfbench wraps it."""
-    h, w = psi.shape
-    filt = from_spectrum(psi)
-    _, grad_psi = score_and_grad(spectrum(filt))
-    # pull the Wirtinger gradient back to the real filter: d/dw = n*Re(ifft(D))
-    grad_filt = (h * w) * from_spectrum(grad_psi)
+def _validate_inversion_gradient(score_and_grad, filt, rng, eps=1e-6, tol=1e-3):
+    """FD-check the analytic filter gradient at three drawn entries; perfbench wraps it."""
+    _, grad = score_and_grad(filt)
     idx, _ = rng.integers(0, filt.size, 3)
     for i in idx:
         probe = filt.copy().ravel()
         probe[i] += eps
-        hi, _ = score_and_grad(spectrum(probe.reshape(h, w)))
+        hi, _ = score_and_grad(probe.reshape(filt.shape))
         probe[i] -= 2 * eps
-        lo, _ = score_and_grad(spectrum(probe.reshape(h, w)))
+        lo, _ = score_and_grad(probe.reshape(filt.shape))
         fd = (hi - lo) / (2 * eps)
-        analytic = grad_filt.ravel()[i]
+        analytic = grad.ravel()[i]
         if abs(fd - analytic) > tol * max(1.0, abs(fd)):
             raise ParameterError(
                 f"inversion gradient check failed at index {i}: "

@@ -161,12 +161,6 @@ def dense_forward(weight: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
     return x_flat @ weight.T
 
 
-def dense_backward(weight: np.ndarray, x_flat: np.ndarray, grad_out: np.ndarray):
-    grad_weight = grad_out.reshape(-1, weight.shape[0]).T @ x_flat.reshape(-1, weight.shape[1])
-    grad_input = grad_out @ weight
-    return grad_weight, grad_input
-
-
 # ------------------------------------------------------------------- layers
 #
 # Every layer method takes a batch: a leading batch axis in front of the
@@ -350,10 +344,12 @@ def parse_spec(text: str) -> BackboneSpec:
     ``circconv2d kh kw cin cout seed`` | ``pointwise leaky_relu alpha`` |
     ``dense rows cols seed`` | ``identity``. Extents are positive integers,
     seeds non-negative ones and alpha is finite; any other line is a
-    SpecError. Weights come deterministically from the per-layer seeds.
-    Shape errors surface here, not at call time.
+    SpecError. A ``#`` starts a comment that runs to the end of its line,
+    and blank lines are skipped. Weights come deterministically from the
+    per-layer seeds. Shape errors surface here, not at call time.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines or lines[0].split()[0] != "input":
         raise SpecError("spec must start with an 'input H W D' line")
     input_dims, layers = None, []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import FORWARD_BLOCK, BackboneSpec, FlopReport, count_flops, transform_cost
+from .backbone import FORWARD_BLOCK, BackboneSpec, FlopReport, count_flops, fft_flops
 from .errors import (
     FormatError,
     ParameterError,
@@ -562,9 +562,10 @@ def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4) -> FlopRep
     dims = tuple(dims)
     if dims != spec.input_dims:
         raise ShapeError(f"dims {dims} != spec input {spec.input_dims}")
-    head_flops = _HIDDEN * int(np.prod(dims)) + n_classes * _HIDDEN
+    h, w, depth = dims
+    head_flops = _HIDDEN * h * w * depth + n_classes * _HIDDEN
     remote = k * count_flops(spec)
-    one_transform = transform_cost(dims) // 3  # transform_cost counts three
+    one_transform = depth * fft_flops(h * w)  # one 2D transform of every channel
     local = (1 + 4 * k) * one_transform + k * head_flops
     message = request_size(dims)
     return FlopReport(remote_flops=remote, local_flops=local,

@@ -5,8 +5,9 @@ modular indexing, deliberately independent of any FFT code under test. The
 exceptions are the earlier fast paths kept as references for their
 replacements (the roll kernel, the per-replicate client, the hard-wired
 toy backbone, the two-pass Frechet gradient, the transform-based inversion
-objective, the per-item probe, the per-channel Hilbert route and the
-ablation's own operator dispatch), which are written on the public ops.
+objective and its spectrum-domain descent, the per-item probe, the
+per-channel Hilbert route and the ablation's own operator dispatch), which
+are written on the public ops.
 """
 
 import numpy as np
@@ -19,12 +20,7 @@ from holobind.altbind import (
     vtb_secret,
     vtb_unbind,
 )
-from holobind.attacks import (
-    _frechet_score_and_mean_grad,
-    _psd_sqrt,
-    fit_gaussian_stats,
-    frechet_distance,
-)
+from holobind.attacks import _psd_sqrt, fit_gaussian_stats
 from holobind.backbone import (
     circconv_backward,
     circconv_forward,
@@ -48,6 +44,7 @@ from holobind.vsa import (
     sample_secret,
     spectrum,
     unbind,
+    unit_spectrum,
 )
 
 
@@ -248,11 +245,16 @@ def per_replicate_client_infer(x, plan, model):
 
 
 def two_pass_frechet_score_and_mean_grad(z, ref):
-    """The inversion's Frechet score and gradient as two passes: the score
-    from ``frechet_distance``, then the same eigendecompositions again."""
+    """The inversion's Frechet score and gradient in the S-form, as two
+    passes: the score from tr((S^1/2 R S^1/2)^1/2), then the transport map
+    T = S^-1/2 (S^1/2 R S^1/2)^1/2 S^-1/2 from the same eigendecompositions
+    again."""
     n = z.shape[0]
     stats = fit_gaussian_stats(z)
-    score = frechet_distance(stats, ref)
+    root_s = _psd_sqrt(stats.cov)
+    score_cross = _psd_sqrt(root_s @ ref.cov @ root_s)
+    score = float(np.sum((stats.mean - ref.mean) ** 2)
+                  + np.trace(stats.cov) + np.trace(ref.cov) - 2.0 * np.trace(score_cross))
     sym = 0.5 * (stats.cov + stats.cov.T)
     w, v = np.linalg.eigh(sym)
     w = np.clip(w, 1e-12, None)
@@ -279,12 +281,31 @@ def transform_inversion_objective(specs, reference):
     def score_and_grad(psi):
         u = from_spectrum(specs * psi, 2)
         z = reference.pca.project(u.reshape(n, -1))
-        score, grad_z = _frechet_score_and_mean_grad(z, reference.stats)
+        score, grad_z = two_pass_frechet_score_and_mean_grad(z, reference.stats)
         grad_u = (grad_z @ reference.pca.components).reshape(n, h, w)
         grad_psi = np.sum(np.conj(specs) * spectrum(grad_u, 2), axis=0) / (h * w)
         return score, grad_psi
 
     return score_and_grad
+
+
+def spectrum_inversion(bound, reference, steps, lr, rng):
+    """(trajectory, secret tensor) of the inversion run on the spectrum psi.
+
+    The earlier form of ``attacks.inversion_attack`` without its gradient
+    check: step psi along the transform objective's Wirtinger gradient and
+    re-project it to unit magnitude; the secret is the inverse of psi.
+    """
+    score_and_grad = transform_inversion_objective(spectrum(bound, 2), reference)
+    raw, _ = rng.normal(bound.shape[1:], 1.0)
+    psi = np.conj(unit_spectrum(spectrum(raw)))
+    score, grad = score_and_grad(psi)
+    trajectory = [score]
+    for _ in range(steps):
+        psi = unit_spectrum(psi - lr * grad)
+        score, grad = score_and_grad(psi)
+        trajectory.append(score)
+    return trajectory, from_spectrum(np.conj(psi))
 
 
 def per_item_probe_curves(d, ks, n_seeds, seed, modes=("projected", "naive")):

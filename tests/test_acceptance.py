@@ -25,9 +25,9 @@ from holobind.attacks import (
     strong_adversary,
 )
 from holobind.backbone import (
+    DenseLayer,
     circconv_backward,
     circconv_forward,
-    dense_backward,
     dense_forward,
     identity_spec,
     leaky_relu_backward,
@@ -216,7 +216,9 @@ def test_criterion_06_gradient_audit():
     w = g.normal(size=(4, 9))
     xv = g.normal(size=(9,))
     upv = g.normal(size=(4,))
-    grad_w, grad_in = dense_backward(w, xv, upv)
+    dense = DenseLayer(w)  # the layer's own gradients, on a batch of one
+    grad_w = dense.param_grad(xv[None], upv[None])
+    grad_in = dense.input_grad(xv[None], upv[None])[0]
     worst["dense/weight"] = _max_rel_err(
         grad_w.reshape(-1),
         lambda wf: float(np.sum(dense_forward(wf.reshape(4, 9), xv) * upv)),

@@ -16,15 +16,27 @@ from holobind.attacks import (
     inversion_attack,
     kmeans,
     secret_regression_attack,
-    _frechet_score_and_mean_grad,
     strong_adversary,
 )
 from holobind.errors import ParameterError, ShapeError
 from holobind.tensor import RngStream
 from holobind.trainer import synth_dataset
-from holobind.vsa import Secret, bind, cosine, project, sample_secret, spectrum, unit_spectrum
+from holobind.vsa import (
+    Secret,
+    bind,
+    cosine,
+    from_spectrum,
+    project,
+    sample_secret,
+    spectrum,
+    unit_spectrum,
+)
 
-from oracles import transform_inversion_objective, two_pass_frechet_score_and_mean_grad
+from oracles import (
+    spectrum_inversion,
+    transform_inversion_objective,
+    two_pass_frechet_score_and_mean_grad,
+)
 
 
 # ------------------------------------------------------------------- frechet
@@ -248,23 +260,36 @@ def test_inversion_score_decreases_from_random_init():
     assert result.report.params["recovery_cosine"] == result.recovery_cosine
 
 
-def test_one_pass_frechet_gradient_matches_two_pass_bitwise(monkeypatch):
+def test_one_pass_frechet_gradient_matches_two_pass():
     g = np.random.default_rng(40)
     for case in range(50):
         p = int(g.integers(2, 17))
         z = g.normal(size=(int(g.integers(p + 2, 64)), p)) * g.uniform(0.1, 3.0, size=p)
         ref = fit_gaussian_stats(g.normal(size=(3 * p, p)) + g.normal(size=p))
-        score, grad = _frechet_score_and_mean_grad(z, ref)
+        n, stats = len(z), fit_gaussian_stats(z)
+        score, transport = attacks._frechet(stats, ref, attacks._psd_sqrt(ref.cov))
+        grad = (2.0 / n) * (stats.mean - ref.mean) + \
+            (2.0 / (n - 1)) * (z - stats.mean) @ (np.eye(p) - transport)
         want_score, want_grad = two_pass_frechet_score_and_mean_grad(z, ref)
-        assert score == want_score and np.array_equal(grad, want_grad), case
-    # so a whole inversion takes the same steps to the same secret
+        assert abs(score - want_score) <= 1e-13 * abs(want_score), case
+        assert np.max(np.abs(grad - want_grad)) <= 1e-11 * np.max(np.abs(want_grad)), case
+    # so a whole inversion takes the earlier spectrum-domain steps to the same secret
     _, _, bound, reference = _planted_setup(seed=18)
-    runs = []
-    for form in (_frechet_score_and_mean_grad, two_pass_frechet_score_and_mean_grad):
-        monkeypatch.setattr(attacks, "_frechet_score_and_mean_grad", form)
-        runs.append(inversion_attack(bound, reference, steps=40, lr=0.05, rng=RngStream(19)))
-    assert runs[0].trajectory == runs[1].trajectory
-    assert np.array_equal(runs[0].secret.tensor, runs[1].secret.tensor)
+    result = inversion_attack(bound, reference, steps=40, lr=0.05, rng=RngStream(19),
+                              validate_gradient=False)
+    trajectory, secret = spectrum_inversion(bound, reference, 40, 0.05, RngStream(19))
+    assert np.allclose(result.trajectory, trajectory, rtol=1e-10, atol=0)
+    assert np.max(np.abs(result.secret.tensor - secret)) <= 1e-10
+
+
+def test_one_eigendecomposition_per_inversion_step(monkeypatch):
+    _, _, bound, reference = _planted_setup(seed=18)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    inversion_attack(bound, reference, steps=10, lr=0.05, rng=RngStream(19),
+                     validate_gradient=False)
+    assert len(calls) == 11 + 1  # one per scored filter, one for the reference's root
 
 
 def test_inversion_rejects_bad_shapes():
@@ -275,20 +300,20 @@ def test_inversion_rejects_bad_shapes():
         inversion_attack(np.ones((3, 8, 8)), reference, steps=1, lr=0.1, rng=RngStream(2))
 
 
-def test_parseval_inversion_objective_matches_the_transform_form():
+def test_filter_inversion_objective_matches_the_transform_form():
     _, _, bound, reference = _planted_setup(n=12, seed=41)
-    specs = spectrum(bound, 2)
-    fast = attacks._inversion_objective(specs, reference)
-    slow = transform_inversion_objective(specs, reference)
+    fast = attacks._inversion_objective(bound, reference)
+    slow = transform_inversion_objective(spectrum(bound, 2), reference)
     raw, _ = RngStream(42).normal((8, 8), 1.0)
-    psi = np.conj(unit_spectrum(spectrum(raw)))
+    filt = from_spectrum(np.conj(unit_spectrum(spectrum(raw))))
     for step in range(51):  # the inversion's update, scored both ways
-        score, grad = fast(psi)
-        want_score, want_grad = slow(psi)
+        score, grad = fast(filt)
+        want_score, grad_psi = slow(spectrum(filt))
+        want_grad = 64 * from_spectrum(grad_psi)  # the filter's gradient is h*w ifft(D)
         assert abs(score - want_score) <= 1e-12 * abs(want_score), step
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), step
-        psi = unit_spectrum(psi - 0.05 * grad)
-    assert score < slow(np.conj(unit_spectrum(spectrum(raw))))[0]  # it did descend
+        filt = project(filt - (0.05 / 64) * grad)
+    assert score < fast(from_spectrum(np.conj(unit_spectrum(spectrum(raw)))))[0]  # it descended
 
 
 def test_inversion_gradient_passes_the_finite_difference_check(monkeypatch):
@@ -301,10 +326,10 @@ def test_inversion_gradient_passes_the_finite_difference_check(monkeypatch):
                      validate_gradient=True)
     assert checked == [None]
     # and the check does fail a wrong gradient
-    score_and_grad = attacks._inversion_objective(spectrum(bound, 2), reference)
-    psi = spectrum(RngStream(45).normal((8, 8), 1.0)[0])
+    score_and_grad = attacks._inversion_objective(bound, reference)
+    filt = RngStream(45).normal((8, 8), 1.0)[0]
     with pytest.raises(ParameterError, match="gradient check failed"):
-        validate(lambda p: (score_and_grad(p)[0], 2.0 * score_and_grad(p)[1]), psi,
+        validate(lambda f: (score_and_grad(f)[0], 2.0 * score_and_grad(f)[1]), filt,
                  RngStream(46))
 
 

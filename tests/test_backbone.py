@@ -14,7 +14,6 @@ from holobind.backbone import (
     circconv_forward,
     conv_chain,
     count_flops,
-    dense_backward,
     dense_forward,
     fft_flops,
     identity_spec,
@@ -256,7 +255,9 @@ def test_dense_and_leaky_relu_gradients():
     x = g.normal(size=(6,))
     up = g.normal(size=(4,))
 
-    grad_w, grad_x = dense_backward(w, x, up)
+    dense = DenseLayer(w)  # the layer's own gradients, on a batch of one
+    grad_w = dense.param_grad(x[None], up[None])
+    grad_x = dense.input_grad(x[None], up[None])[0]
 
     def loss_wrt_w(wf):
         return float(np.sum(dense_forward(wf.reshape(4, 6), x) * up))
@@ -342,6 +343,9 @@ def test_spec_shape_chain_validated_at_load():
             parse_spec(line + "\n")
     seeded_0 = parse_spec("input 4 4 1\ncircconv2d 3 3 1 1 0\n")
     assert parse_spec(serialize_spec(seeded_0)).layers[0].seed == 0
+    # a comment runs from its '#' to the end of the line, wherever it starts
+    commented = parse_spec("# toy\ninput 4 4 1\n  # indented comment\nidentity  # trailing\n")
+    assert commented.input_dims == (4, 4, 1) and commented.layers == (Identity(),)
 
 
 def test_spec_apply_rejects_wrong_input_dims():
