@@ -10,6 +10,7 @@ trains the same BackboneSpec a worker serves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,24 +21,42 @@ from .vsa import bind, unbind
 
 LEAKY_ALPHA = 0.1  # negative slope of the toy backbone's and heads' leaky-relu
 
-# Items per block of an inference forward: a block's layer outputs stay in
-# cache, where a batch of hundreds spills them to memory between layers.
-FORWARD_BLOCK = 16
+# Items per block of an inference forward: a block's gathered conv taps
+# (1.2 MB for the toy model's conv2 at 4 items) stay in a 4 MiB L2 cache,
+# where 16 items' taps (4.7 MB) would spill to memory.
+FORWARD_BLOCK = 4
 
 
 # ------------------------------------------------------------ layer kernels
 
-def _wrap_pad(t: np.ndarray, top: int, left: int, kh: int, kw: int) -> np.ndarray:
-    """Extend ``t`` (..., H, W, C) circularly to (..., H + kh - 1, W + kw - 1, C).
+@functools.lru_cache(maxsize=64)
+def _tap_pixels(h: int, w: int, kh: int, kw: int, top: int, left: int) -> np.ndarray:
+    """The (H*W, KH*KW) table of each output pixel's tap sources, row-major.
 
-    Padded pixel (r, c) holds pixel ((r - top) % H, (c - left) % W), so the
-    padding wraps as often as needed when the kernel is larger than the image.
+    Entry (a*W + b, i*KW + j) is the flat pixel ((a + i - top) % H) * W +
+    (b + j - left) % W, so the taps wrap as often as needed when the kernel
+    is larger than the image. Built once per shape and shared read-only.
     """
-    h, w = t.shape[-3], t.shape[-2]
-    rows = np.arange(-top, h + kh - 1 - top) % h
-    cols = np.arange(-left, w + kw - 1 - left) % w
-    pixels = t.reshape(t.shape[:-3] + (h * w, t.shape[-1]))
-    return pixels.take(rows[:, None] * w + cols, axis=-2)
+    rows = (np.arange(h)[:, None] + np.arange(kh) - top) % h
+    cols = (np.arange(w)[:, None] + np.arange(kw) - left) % w
+    taps = rows[:, None, :, None] * w + cols[None, :, None, :]
+    taps = taps.reshape(h * w, kh * kw)
+    taps.flags.writeable = False
+    return taps
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_products(h: int, w: int, kh: int, kw: int, top: int, left: int) -> np.ndarray:
+    """The (KH*KW, H*W) table of each output pixel's per-tap product rows, tap-major.
+
+    Entry (t, p) is row ``taps[p, t] * KH*KW + t`` of a (H*W*KH*KW, Cout)
+    stack of per-tap products, with ``taps`` from ``_tap_pixels``. Tap-major
+    rows let the sum over taps run as KH*KW whole-image adds in tap order.
+    """
+    n = kh * kw
+    rows = np.ascontiguousarray((_tap_pixels(h, w, kh, kw, top, left) * n + np.arange(n)).T)
+    rows.flags.writeable = False
+    return rows
 
 
 def circconv_forward(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -48,20 +67,19 @@ def circconv_forward(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     (a, b) is the sum over taps (i, j) of
     ``x[(a + i - KH//2) % H, (b + j - KW//2) % W] @ kernel[i, j]``.
 
-    The path follows from the channel counts alone:
+    Both paths read the taps through a cached index table, and the path
+    follows from the channel counts alone:
 
-    - Cin < Cout: the KH*KW taps of the wrap-padded input are gathered side
-      by side once, then multiplied by the kernel as one
-      (KH*KW*Cin, Cout) matrix.
+    - Cin <= Cout: each pixel's KH*KW taps are gathered side by side, then
+      multiplied by the kernel as one (KH*KW*Cin, Cout) matrix.
     - Cin > Cout: one product with the taps stacked as a
-      (Cin, KH*KW*Cout) matrix, then the per-tap outputs are shifted into
-      place and summed.
-    - Cin == Cout: per-tap products on slices of the wrap-padded input,
-      accumulated in tap order (gathering the taps would copy the input
-      KH*KW times).
+      (Cin, KH*KW*Cout) matrix, then each output gathers its KH*KW per-tap
+      products and sums them in tap order.
 
-    Either unequal path sums each output in another order than the tap by
-    tap loop, so results can differ from it in the last bits.
+    The first path sums each output's KH*KW*Cin products as one dot
+    product, so results can differ from a tap by tap loop in the last bits.
+    Each item is computed on its own, so a batch's outputs equal those of
+    its items one at a time, bit for bit.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     kh, kw = kernel.shape[:2]
@@ -75,25 +93,18 @@ def _correlate(kernel: np.ndarray, x: np.ndarray, top: int, left: int) -> np.nda
     if x.shape[-1] != cin:
         raise ShapeError(f"input channels {x.shape[-1]} != kernel cin {cin}")
     h, w = x.shape[-3], x.shape[-2]
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    if cin > cout:
-        out = np.zeros(x.shape[:-1] + (cout,))
-        stacked = kernel.transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
-        per_tap = _wrap_pad(x @ stacked, top, left, kh, kw)
-        for t, (i, j) in enumerate(taps):
-            out += per_tap[..., i:i + h, j:j + w, t * cout:(t + 1) * cout]
-        return out
-    padded = _wrap_pad(x, top, left, kh, kw)
-    if cin < cout:
-        gathered = np.concatenate(
-            [padded[..., i:i + h, j:j + w, :] for i, j in taps], axis=-1)
-        return gathered @ kernel.reshape(kh * kw * cin, cout)
-    out = np.zeros(x.shape[:-1] + (cout,))
-    product = np.empty_like(out)
-    for i, j in taps:
-        np.matmul(padded[..., i:i + h, j:j + w, :], kernel[i, j], out=product)
-        out += product
-    return out
+    lead, n = x.shape[:-3], kh * kw
+    pixels = x.reshape(lead + (h * w, cin))
+    if cin <= cout:
+        taps = _tap_pixels(h, w, kh, kw, top, left)
+        gathered = pixels.take(taps, axis=-2).reshape(lead + (h * w, n * cin))
+        out = gathered @ kernel.reshape(n * cin, cout)
+    else:
+        stacked = kernel.transpose(2, 0, 1, 3).reshape(cin, n * cout)
+        per_tap = (pixels @ stacked).reshape(lead + (h * w * n, cout))
+        rows = _tap_products(h, w, kh, kw, top, left)
+        out = per_tap.take(rows, axis=-2).sum(axis=-3)
+    return out.reshape(x.shape[:-1] + (cout,))
 
 
 def circconv_backward(kernel: np.ndarray, x: np.ndarray, grad_out: np.ndarray):
@@ -111,13 +122,13 @@ def _circconv_kernel_grad(kernel: np.ndarray, x: np.ndarray, grad_out: np.ndarra
     x = np.asarray(x, dtype=np.float64)
     kh, kw, cin, cout = kernel.shape
     h, w = x.shape[-3], x.shape[-2]
-    x_pad = _wrap_pad(x, kh // 2, kw // 2, kh, kw)
+    taps = _tap_pixels(h, w, kh, kw, kh // 2, kw // 2)
+    pixels = x.reshape(x.shape[:-3] + (h * w, cin))
     g_flat = grad_out.reshape(-1, cout)
     grad_kernel = np.zeros_like(kernel)
-    for i in range(kh):
-        for j in range(kw):
-            x_tap = x_pad[..., i:i + h, j:j + w, :]
-            grad_kernel[i, j] = x_tap.reshape(-1, cin).T @ g_flat
+    for t in range(kh * kw):
+        x_tap = pixels.take(taps[:, t], axis=-2)
+        grad_kernel[t // kw, t % kw] = x_tap.reshape(-1, cin).T @ g_flat
     return grad_kernel
 
 
@@ -127,12 +138,10 @@ def _circconv_input_grad(kernel: np.ndarray, grad_out: np.ndarray) -> np.ndarray
     Input pixel p receives ``grad_out[p - i + KH//2] @ kernel[i].T`` from
     tap i (one axis shown), which is tap KH-1-i of a correlation whose
     origin sits at KH-1-KH//2; that origin keeps even-sized kernels right.
-    The flipped kernel is copied, because its strided view slows the
-    Cin == Cout path's per-tap products. Each pixel's sum runs in the
-    forward path's order, not tap by tap.
+    Each pixel's sum runs in the forward path's order, not tap by tap.
     """
     kh, kw = kernel.shape[:2]
-    flipped = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+    flipped = kernel[::-1, ::-1].transpose(0, 1, 3, 2)
     return _correlate(flipped, grad_out, kh - 1 - kh // 2, kw - 1 - kw // 2)
 
 
@@ -163,9 +172,11 @@ def dense_forward(weight: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------- layers
 #
-# Every layer method takes a batch: a leading batch axis in front of the
-# item dims. ``param_grad(t, grad_out)`` and ``input_grad(t, grad_out)`` get
-# the layer's forward input and return its parameter gradient (None where it
+# Every layer method but ``output_dims(dims)`` and ``flops(dims)`` takes a
+# batch: a leading batch axis in front of the item dims. ``flops`` is the
+# multiply-add count of one item of those dims (pointwise ops count 0).
+# ``param_grad(t, grad_out)`` and ``input_grad(t, grad_out)`` get the
+# layer's forward input and return its parameter gradient (None where it
 # has none) and its input gradient; they are separate so that the first
 # layer's input gradient, which nothing uses, is never computed.
 
@@ -173,6 +184,9 @@ def dense_forward(weight: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
 class Identity:
     def output_dims(self, dims):
         return dims
+
+    def flops(self, dims):
+        return 0
 
     def forward(self, t):
         return t
@@ -203,6 +217,9 @@ class CircConv2d:
             raise SpecError(f"circconv2d cin {cin} does not chain from input depth {dims[2]}")
         return (dims[0], dims[1], cout)
 
+    def flops(self, dims):
+        return dims[0] * dims[1] * self.kernel.size
+
     def forward(self, t):
         return circconv_forward(self.kernel, t)
 
@@ -219,6 +236,9 @@ class Pointwise:
 
     def output_dims(self, dims):
         return dims
+
+    def flops(self, dims):
+        return 0
 
     def forward(self, t):
         return leaky_relu_forward(t, self.alpha)
@@ -246,6 +266,9 @@ class DenseLayer:
         if size != cols:
             raise SpecError(f"dense cols {cols} does not chain from input size {size}")
         return (rows,)
+
+    def flops(self, dims):
+        return self.weight.size
 
     def forward(self, t):
         # one product per item, so an item's output does not depend on its batch
@@ -493,11 +516,6 @@ def count_flops(spec: BackboneSpec) -> int:
     total = 0
     dims = spec.input_dims
     for layer in spec.layers:
-        if isinstance(layer, CircConv2d):
-            kh, kw, cin, cout = layer.kernel.shape
-            total += dims[0] * dims[1] * kh * kw * cin * cout
-        elif isinstance(layer, DenseLayer):
-            rows, cols = layer.weight.shape
-            total += rows * cols
+        total += layer.flops(dims)
         dims = layer.output_dims(dims)
     return total

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import FORWARD_BLOCK, BackboneSpec, FlopReport, count_flops, fft_flops
+from .backbone import BackboneSpec, FlopReport, count_flops, fft_flops
 from .errors import (
     FormatError,
     ParameterError,
@@ -241,9 +241,15 @@ class TcpTransport(Transport):
         self._rfile = self._sock.makefile("rb")
 
     def request(self, data: bytes) -> bytes:
+        """Send one message and read its reply.
+
+        A reply is no longer than the larger of its request and an
+        envelope, so a longer announced frame is refused before its body
+        is read.
+        """
         try:
             self._sock.sendall(struct.pack("<I", len(data)) + data)
-            return _read_frame(self._rfile)
+            return _read_frame(self._rfile, max(len(data), ENVELOPE_SIZE))
         except OSError as err:
             raise TransportError(f"transport failure: {err}") from err
 
@@ -287,16 +293,20 @@ IDLE_TIMEOUT_S = 30.0
 # crowd out the next one.
 MAX_CONNECTIONS = 256
 
+# Whole frames the worker runs through one handle_request_batch per turn;
+# the forward itself runs them in blocks of backbone.FORWARD_BLOCK items.
+MAX_TURN_FRAMES = 16
+
 _LISTEN_BACKLOG = 128
 _RECV_BYTES = 1 << 16
 
 
-def _read_frame(rfile) -> bytes:
-    """Read one length-prefixed frame from a buffered binary file."""
+def _read_frame(rfile, limit: int = MAX_FRAME_BYTES) -> bytes:
+    """Read one length-prefixed frame of at most ``limit`` bytes from a buffered binary file."""
     header = rfile.read(4)
     length = int.from_bytes(header, "little")
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
+    if length > limit:
+        raise TransportError(f"frame of {length} bytes exceeds the {limit} cap")
     message = rfile.read(length)
     if len(header) < 4 or len(message) < length:
         raise TransportError("connection closed mid-frame")
@@ -370,7 +380,7 @@ class WorkerServer:
     """TCP worker: one selectors loop serves every connection.
 
     Each turn reads every readable connection into its own buffer, then runs
-    up to FORWARD_BLOCK whole frames, taken across connections one at a
+    up to MAX_TURN_FRAMES whole frames, taken across connections one at a
     time, through one ``handle_request_batch``. Each connection's replies go
     out in request order with one send. A connection whose replies are not
     all sent is neither read nor given more work until they are, so a client
@@ -446,8 +456,8 @@ class WorkerServer:
                 self._drop(conns, conn)
             elif conn.frames and not conn.outbuf:
                 queues.append(conn)
-        while queues and len(batch) < FORWARD_BLOCK:
-            for conn in queues[:FORWARD_BLOCK - len(batch)]:
+        while queues and len(batch) < MAX_TURN_FRAMES:
+            for conn in queues[:MAX_TURN_FRAMES - len(batch)]:
                 batch.append((conn, conn.frames.popleft()))
             queues = [c for c in queues if c.frames]
         if batch:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -104,15 +105,16 @@ def test_circconv_matches_modular_index_oracle():
 
 @pytest.mark.parametrize("cin,cout", CHANNELS + [(1, 16), (16, 16), (16, 1)])
 def test_circconv_matches_roll_reference(cin, cout):
-    # cin == cout accumulates the same products in the same order as the
-    # roll kernel; the unequal paths reorder each output's sum of
-    # n = kh * kw * cin products, so each side is within gamma_n of the
-    # exact sum (Higham, "Accuracy and Stability of Numerical Algorithms",
-    # 3.1) and they differ by at most 2 gamma_n (|kernel| * |x|). The kernel
-    # gradient runs the roll kernel's products in its order. The input
-    # gradient is the forward with the flipped kernel, which sums each
-    # pixel's n = kh * kw * cout products in the forward path's order, so
-    # it is held to the same bound on the absolute values.
+    # The kernel paths may sum each output's n = kh * kw * cin products in
+    # another order than the roll kernel's tap by tap loop (cin <= cout
+    # takes them as one dot product), so each side is within gamma_n of
+    # the exact sum (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", 3.1) and they differ by at most 2 gamma_n
+    # (|kernel| * |x|). The kernel gradient runs the roll kernel's products
+    # in its order. The input gradient is the forward with the flipped
+    # kernel, which sums each pixel's n = kh * kw * cout products in the
+    # forward path's order, so it is held to the same bound on the
+    # absolute values.
     eps = np.finfo(np.float64).eps
 
     def gamma2(n):
@@ -125,12 +127,9 @@ def test_circconv_matches_roll_reference(cin, cout):
     for x, kernel, up in cases:
         out = circconv_forward(kernel, x)
         expected = roll_circconv_forward(kernel, x)
-        if cin == cout:
-            assert np.array_equal(out, expected)
-        else:
-            n = kernel.shape[0] * kernel.shape[1] * cin
-            bound = gamma2(n) * roll_circconv_forward(np.abs(kernel), np.abs(x))
-            assert np.all(np.abs(out - expected) <= bound)
+        n = kernel.shape[0] * kernel.shape[1] * cin
+        bound = gamma2(n) * roll_circconv_forward(np.abs(kernel), np.abs(x))
+        assert np.all(np.abs(out - expected) <= bound)
         grad_k, grad_in = circconv_backward(kernel, x, up)
         want_k, want_in = roll_circconv_backward(kernel, x, up)
         assert np.array_equal(grad_k, want_k)
@@ -409,6 +408,21 @@ def test_forward_keeping_inputs_returns_each_full_batch_input(kind):
         assert np.array_equal(layer.forward(t), t_next)
 
 
+def test_forward_memory_stays_bounded_by_its_blocks():
+    spec = toy_fw_spec()
+    batch = np.random.default_rng(16).normal(size=(64,) + spec.input_dims)
+    spec.forward(batch[:1])  # the tap tables are built once per shape, before the count
+    tracemalloc.start()
+    try:
+        out, _ = spec.forward(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == batch.shape
+    # a block's gathered conv2 taps are 1.2 MB; a 64-item pass at once needs 19 MB
+    assert peak <= 2 * 2 ** 20
+
+
 def test_spec_forward_rejects_wrong_item_dims():
     with pytest.raises(ShapeError):
         toy_fw_spec().forward(np.zeros((2, 8, 8, 1)))
@@ -474,6 +488,17 @@ def test_flops_toy_fw():
     spec = toy_fw_spec()
     expected = 256 * 9 * 1 * 16 + 256 * 9 * 16 * 16 + 256 * 9 * 16 * 1
     assert count_flops(spec) == expected
+
+
+def test_count_flops_sums_each_layers_flops():
+    spec = parse_spec("input 3 3 2\ncircconv2d 3 3 2 3 5\npointwise leaky_relu 0.1\n"
+                      "circconv2d 3 3 3 2 6\nidentity\ndense 4 18 7\n")
+    dims, per_layer = spec.input_dims, []
+    for layer in spec.layers:
+        per_layer.append(layer.flops(dims))
+        dims = layer.output_dims(dims)
+    assert per_layer == [9 * 9 * 2 * 3, 0, 9 * 9 * 3 * 2, 0, 4 * 18]
+    assert count_flops(spec) == sum(per_layer)
 
 
 def test_transform_cost_convention():

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobind import protocol, vsa
-from holobind.backbone import BackboneSpec, CircConv2d, identity_spec, parse_spec, toy_fw_spec
+from holobind.backbone import (
+    FORWARD_BLOCK,
+    BackboneSpec,
+    CircConv2d,
+    identity_spec,
+    parse_spec,
+    toy_fw_spec,
+)
 from holobind.errors import (
     DegenerateSpectrumError,
     ParameterError,
@@ -510,6 +517,32 @@ def test_oversized_frame_rejected():
         b.close()
 
 
+def test_client_refuses_a_reply_longer_than_its_request_before_reading_it():
+    listener = socket.create_server(("127.0.0.1", 0))
+    release = threading.Event()
+
+    def announce_and_hold():  # announce a reply just under the cap, send none of it
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            _read_frame(rfile)
+            conn.sendall(struct.pack("<I", protocol.MAX_FRAME_BYTES - 1))
+            release.wait(10.0)
+
+    peer = threading.Thread(target=announce_and_hold, daemon=True)
+    peer.start()
+    try:
+        with TcpTransport(*listener.getsockname()[:2], timeout=10.0) as transport:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="cap"):
+                transport.request(_ONES_REQUEST)
+            assert time.monotonic() - start < 2.0  # refused at the header, not at the timeout
+    finally:
+        release.set()
+        peer.join(timeout=5.0)
+        listener.close()
+    assert not peer.is_alive()
+
+
 def test_tcp_malformed_request_keeps_connection_usable():
     with WorkerServer(identity_spec((4, 4, 1))) as server:
         host, port = server.address
@@ -736,6 +769,34 @@ def test_interleaved_frames_get_the_single_request_handlers_replies(monkeypatch)
             for sock in socks:
                 sock.close()
     assert max(batch_sizes) > 1  # the requests of a send shared a pass
+
+
+def test_one_turn_hands_up_to_its_frame_cap_to_one_batch(monkeypatch):
+    batch_sizes = []
+    handle = protocol.handle_request_batch
+
+    def counting_handle(spec, bodies):
+        batch_sizes.append(len(bodies))
+        return handle(spec, bodies)
+
+    monkeypatch.setattr(protocol, "handle_request_batch", counting_handle)
+    bodies = [encode_request(BoundRequest(i, _f32(np.full((4, 4, 1), float(i)))))
+              for i in range(20)]
+    server = WorkerServer(identity_spec((4, 4, 1)))
+    client = socket.create_connection(server.address, timeout=5.0)
+    try:
+        # all 20 frames wait in the socket before the loop first reads it
+        client.sendall(b"".join(_frame(body) for body in bodies))
+        server.start()
+        with client.makefile("rb") as rfile:
+            assert [_read_frame(rfile) for _ in bodies] == \
+                [handle(server.spec, [body])[0] for body in bodies]
+    finally:
+        client.close()
+        server.stop()
+    # the turn's cap, not the forward's block size, sets the batch
+    assert FORWARD_BLOCK < protocol.MAX_TURN_FRAMES < len(bodies)
+    assert batch_sizes == [protocol.MAX_TURN_FRAMES, len(bodies) - protocol.MAX_TURN_FRAMES]
 
 
 def test_stop_under_load_returns_within_a_second_and_leaves_no_thread():
