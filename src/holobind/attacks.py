@@ -377,7 +377,7 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
         score, grad = score_and_grad(filt)
         trajectory.append(score)
 
-    s_hat = Secret(from_spectrum(np.conj(spectrum(filt))), projected=True)
+    s_hat = Secret(from_spectrum(np.conj(spectrum(filt))))
     recovery = None
     if x_true is not None:
         x0 = np.asarray(x_true, dtype=np.float64).reshape(h, w)

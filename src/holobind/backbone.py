@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import SpecError, ShapeError
 from .tensor import RngStream
-from .vsa import bind, unbind
 
 LEAKY_ALPHA = 0.1  # negative slope of the toy backbone's and heads' leaky-relu
 
@@ -201,13 +200,11 @@ class Identity:
 @dataclass(frozen=True)
 class CircConv2d:
     kernel: np.ndarray
-    seed: int | None = None  # None for a trained kernel
 
     @classmethod
     def from_seed(cls, kh, kw, cin, cout, seed):
         """Materialize a fan-in-scaled Gaussian kernel from its seed."""
-        kernel = RngStream(seed).normal([kh, kw, cin, cout], 1.0 / (kh * kw * cin))[0]
-        return cls(kernel, seed)
+        return cls(RngStream(seed).normal([kh, kw, cin, cout], 1.0 / (kh * kw * cin))[0])
 
     def output_dims(self, dims):
         if len(dims) != 3:
@@ -253,12 +250,10 @@ class Pointwise:
 @dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray
-    seed: int | None = None  # None for a trained weight
 
     @classmethod
     def from_seed(cls, rows, cols, seed):
-        weight = RngStream(seed).normal([rows, cols], 1.0 / cols)[0]
-        return cls(weight, seed)
+        return cls(RngStream(seed).normal([rows, cols], 1.0 / cols)[0])
 
     def output_dims(self, dims):
         size = int(np.prod(dims))
@@ -403,27 +398,6 @@ def parse_spec(text: str) -> BackboneSpec:
     return BackboneSpec(input_dims, tuple(layers))
 
 
-def serialize_spec(spec: BackboneSpec) -> str:
-    """Text form of a seeded spec; a trained layer has no seed and is refused."""
-    lines = ["input {} {} {}".format(*spec.input_dims)]
-    for layer in spec.layers:
-        if getattr(layer, "seed", 0) is None:
-            raise SpecError(f"{type(layer).__name__} holds trained weights with no seed")
-        if isinstance(layer, Identity):
-            lines.append("identity")
-        elif isinstance(layer, CircConv2d):
-            kh, kw, cin, cout = layer.kernel.shape
-            lines.append(f"circconv2d {kh} {kw} {cin} {cout} {layer.seed}")
-        elif isinstance(layer, Pointwise):
-            lines.append(f"pointwise leaky_relu {layer.alpha}")
-        elif isinstance(layer, DenseLayer):
-            rows, cols = layer.weight.shape
-            lines.append(f"dense {rows} {cols} {layer.seed}")
-        else:
-            raise SpecError(f"unknown layer type {type(layer).__name__}")
-    return "\n".join(lines) + "\n"
-
-
 def load_spec(path) -> BackboneSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_spec(fh.read())
@@ -447,39 +421,6 @@ def toy_fw_spec(dims=(16, 16, 1), seed: int = 100) -> BackboneSpec:
     channels = ((d, 16), (16, 16), (16, d))
     return conv_chain(dims, [CircConv2d.from_seed(3, 3, cin, cout, seed + i)
                              for i, (cin, cout) in enumerate(channels)])
-
-
-def linear_circconv_spec(dims, n_layers: int = 1, seed: int = 200) -> BackboneSpec:
-    """Purely linear single-channel circconv chain (commutes with binding)."""
-    layers = tuple(
-        CircConv2d.from_seed(3, 3, 1, 1, seed + i) for i in range(n_layers)
-    )
-    return BackboneSpec(tuple(dims), layers)
-
-
-# ---------------------------------------------------------------- contracts
-
-def linear_circconv_commutation_check(spec: BackboneSpec, x: np.ndarray, s) -> float:
-    """Residual of f(x (*) s) (*) s^-1 == f(x) for a linear circconv chain.
-
-    Circular convolutions are simultaneously diagonalized by the Fourier
-    basis, so a purely linear single-channel backbone commutes with binding
-    exactly; any nonlinearity voids the contract.
-    """
-    for layer in spec.layers:
-        ok = isinstance(layer, Identity) or (
-            isinstance(layer, CircConv2d)
-            and layer.kernel.shape[2] == 1
-            and layer.kernel.shape[3] == 1
-        )
-        if not ok:
-            raise SpecError(
-                "commutation check requires only identity or 1-channel "
-                f"circconv2d layers, found {type(layer).__name__}"
-            )
-    through_binding = unbind(spec(bind(x, s)), s)
-    direct = spec(np.asarray(x, dtype=np.float64))
-    return float(np.max(np.abs(through_binding - direct)))
 
 
 # ------------------------------------------------------------- FLOP account

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import FormatError, ParameterError
 
 MAGIC = b"HBT1"
 DTYPE_F32 = 1
@@ -97,8 +97,6 @@ def tensor_to_bytes(t: np.ndarray, dtype: str = "f64") -> bytes:
     code = _DTYPE_CODES.get(dtype)
     if code is None:
         raise ParameterError(f"unknown dtype {dtype!r}, expected 'f32' or 'f64'")
-    if t.ndim > 255:
-        raise ShapeError("too many dimensions for container format")
     with np.errstate(over="ignore"):  # a value beyond the dtype's range casts to inf
         values = np.ascontiguousarray(t, dtype=_DTYPES[code])
     if not np.isfinite(values).all():
@@ -142,7 +140,11 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         bad = int(np.argmin(finite))
         raise FormatError(f"non-finite value at index {bad}",
                           offset=dims_end + bad * np_dtype.itemsize)
-    return values.astype(np.float64).reshape(dims)
+    values = values.astype(np.float64)
+    try:
+        return values.reshape(dims)
+    except ValueError as err:  # more dims than numpy arrays can have
+        raise FormatError(f"{ndim} dims: {err}", offset=5) from err
 
 
 def container_size(dims, dtype: str = "f64") -> int:

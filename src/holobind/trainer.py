@@ -241,25 +241,20 @@ def forward_batch(model: ToyModel, x, secret_spectra):  # perfbench wraps this
                               r.shape)
 
 
-def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels,
-                   use_pred: bool = True, use_adv: bool = True) -> dict:  # perfbench wraps this
+def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels) -> dict:  # perfbench wraps this
     """Gradients of the summed-head mean cross-entropy.
 
-    ``use_pred``/``use_adv`` isolate one loss path; the full gradient is
-    exactly the sum of the two isolated paths (reversal included), which
-    the tests exploit. The reversed adversary gradient that reaches the
-    backbone is scaled by ``REVERSAL_WEIGHT``.
+    The reversed adversary gradient that reaches the backbone is scaled by
+    ``REVERSAL_WEIGHT``.
     """
     params = model.params
     backbone, layer_inputs, p_cache, a_cache, secret_spectra, r_shape = caches
     grads = {name: np.zeros_like(params[name]) for name in _PARAM_NAMES}
     grad_r = np.zeros(r_shape)
-    if use_pred:
-        g_u_flat = _head_backward(params, "p", p_cache, p_probs, labels, grads)
-        grad_r += batch_unbind_transpose(g_u_flat.reshape(r_shape), secret_spectra)
-    if use_adv:
-        g_a_flat = _head_backward(params, "a", a_cache, a_probs, labels, grads)
-        grad_r += REVERSAL_WEIGHT * reverse_grad_backward(g_a_flat.reshape(r_shape))
+    g_u_flat = _head_backward(params, "p", p_cache, p_probs, labels, grads)
+    grad_r += batch_unbind_transpose(g_u_flat.reshape(r_shape), secret_spectra)
+    g_a_flat = _head_backward(params, "a", a_cache, a_probs, labels, grads)
+    grad_r += REVERSAL_WEIGHT * reverse_grad_backward(g_a_flat.reshape(r_shape))
     conv_grads = [g for g in backbone.backward(layer_inputs, grad_r) if g is not None]
     grads.update(zip(_CONV_NAMES, conv_grads))
     return grads

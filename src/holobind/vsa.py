@@ -15,7 +15,7 @@ by a Parseval cosine, so its rows equal that loop's within rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +77,9 @@ def unit_spectrum(spec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Secret:
-    """A client-held binding key; ``projected`` marks a unit-spectrum key."""
+    """A client-held binding key."""
 
     tensor: np.ndarray
-    projected: bool = False
 
     def erase(self) -> None:
         """Best-effort scrub of the key material in place."""
@@ -118,15 +117,6 @@ def bind(x: np.ndarray, s) -> np.ndarray:
     return from_spectrum(spectrum(x) * spectrum(st))
 
 
-def bind_transpose(g: np.ndarray, s) -> np.ndarray:
-    """Adjoint of ``x -> bind(x, s)``: circular correlation with the secret.
-
-    This is the backward rule when binding is treated as a fixed linear map.
-    """
-    g, st = _operands("bind_transpose", g, s)
-    return from_spectrum(spectrum(g) * np.conj(spectrum(st)))
-
-
 def _reciprocal(spec: np.ndarray) -> np.ndarray:
     _magnitudes(spec, NearSingularInverseError, "reciprocal inverse is near-singular")
     return 1.0 / spec
@@ -139,7 +129,7 @@ def inverse(s) -> "Secret | np.ndarray":
     inverse is projected too and is an involution.
     """
     inv = from_spectrum(_reciprocal(spectrum(_secret_tensor(s))))
-    return replace(s, tensor=inv) if isinstance(s, Secret) else inv
+    return Secret(inv) if isinstance(s, Secret) else inv
 
 
 def unbind(b: np.ndarray, s) -> np.ndarray:
@@ -171,7 +161,7 @@ def sample_secret(dims, rng: RngStream) -> tuple[Secret, RngStream]:
     for attempt in range(1 + _SAMPLE_RETRIES):
         raw, successor = rng.normal(dims, 1.0 / d)
         try:
-            return Secret(project(raw), projected=True), successor
+            return Secret(project(raw)), successor
         except DegenerateSpectrumError:
             if attempt == _SAMPLE_RETRIES:
                 raise
@@ -252,19 +242,12 @@ def bundle_add(bundle: Bundle, x: np.ndarray, y) -> Bundle:  # perfbench wraps t
     return Bundle(bundle.tensor + bound, bundle.term_count + 1)
 
 
-def presence_probe(bundle: Bundle, y, x_candidate: np.ndarray, use_projection: bool = True) -> float:
+def presence_probe(bundle: Bundle, y, x_candidate: np.ndarray) -> float:
     """Score whether the pair (x_candidate, y) is present in the bundle.
 
     Returns cosine(unbind(bundle, y), x_candidate): near 1 for the present
-    pair of a single-term bundle, near 0 for absent pairs. The flag must
-    match how the probe pair was drawn; it guards against mixing the
-    projected and naive harness modes.
+    pair of a single-term bundle, near 0 for absent pairs.
     """
-    if isinstance(y, Secret) and y.projected != use_projection:
-        raise ParameterError(
-            f"probe mode mismatch: secret projected={y.projected}, "
-            f"use_projection={use_projection}"
-        )
     return cosine(unbind(bundle.tensor, y), x_candidate)
 
 

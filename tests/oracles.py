@@ -7,7 +7,8 @@ replacements (the roll kernel, the per-replicate client, the hard-wired
 toy backbone, the two-pass Frechet gradient, the transform-based inversion
 objective and its spectrum-domain descent, the per-item probe, the
 per-channel Hilbert route and the ablation's own operator dispatch), which
-are written on the public ops.
+are written on the public ops, and the contract that a linear circconv
+chain commutes with binding.
 """
 
 import numpy as np
@@ -22,18 +23,20 @@ from holobind.altbind import (
 )
 from holobind.attacks import _psd_sqrt, fit_gaussian_stats
 from holobind.backbone import (
+    BackboneSpec,
+    CircConv2d,
+    Identity,
     circconv_backward,
     circconv_forward,
     leaky_relu_backward,
     leaky_relu_forward,
 )
-from holobind.errors import ProtocolError, RemoteFailureError
+from holobind.errors import ProtocolError, RemoteFailureError, SpecError
 from holobind.protocol import STATUS_OK, BoundRequest, decode_response, encode_request
 from holobind.trainer import _head_forward
 from holobind.tensor import RngStream
 from holobind.vsa import (
     Bundle,
-    Secret,
     _probe_dims,
     bind,
     bundle_add,
@@ -208,6 +211,37 @@ def reference_backbone_backward(params, cache, grad_r, alpha=0.1):
     return gk1, gk2, gk3
 
 
+def linear_circconv_spec(dims, n_layers: int = 1, seed: int = 200) -> BackboneSpec:
+    """Purely linear single-channel circconv chain (commutes with binding)."""
+    layers = tuple(
+        CircConv2d.from_seed(3, 3, 1, 1, seed + i) for i in range(n_layers)
+    )
+    return BackboneSpec(tuple(dims), layers)
+
+
+def linear_circconv_commutation_check(spec: BackboneSpec, x: np.ndarray, s) -> float:
+    """Residual of f(x (*) s) (*) s^-1 == f(x) for a linear circconv chain.
+
+    Circular convolutions are simultaneously diagonalized by the Fourier
+    basis, so a purely linear single-channel backbone commutes with binding
+    exactly; any nonlinearity voids the contract.
+    """
+    for layer in spec.layers:
+        ok = isinstance(layer, Identity) or (
+            isinstance(layer, CircConv2d)
+            and layer.kernel.shape[2] == 1
+            and layer.kernel.shape[3] == 1
+        )
+        if not ok:
+            raise SpecError(
+                "commutation check requires only identity or 1-channel "
+                f"circconv2d layers, found {type(layer).__name__}"
+            )
+    through_binding = unbind(spec(bind(x, s)), s)
+    direct = spec(np.asarray(x, dtype=np.float64))
+    return float(np.max(np.abs(through_binding - direct)))
+
+
 def per_replicate_client_infer(x, plan, model):
     """``client_infer`` one replicate at a time: the earlier client loop.
 
@@ -329,12 +363,12 @@ def per_item_probe_curves(d, ks, n_seeds, seed, modes=("projected", "naive")):
                 pairs = []
                 for _ in range(k + 1):  # k bound pairs, then the absent pair
                     x, rng = draw(projected, rng)
-                    y_tensor, rng = draw(projected, rng)
-                    pairs.append((x, Secret(y_tensor, projected=projected)))
+                    y, rng = draw(projected, rng)
+                    pairs.append((x, y))
                     if len(pairs) <= k:
                         bundle = bundle_add(bundle, *pairs[-1])
-                present.append(presence_probe(bundle, pairs[0][1], pairs[0][0], projected))
-                absent.append(presence_probe(bundle, pairs[-1][1], pairs[-1][0], projected))
+                present.append(presence_probe(bundle, pairs[0][1], pairs[0][0]))
+                absent.append(presence_probe(bundle, pairs[-1][1], pairs[-1][0]))
             rows.append({
                 "k": int(k),
                 "mode": mode,

@@ -47,6 +47,7 @@ from holobind.protocol import (
 from holobind.tensor import RngStream, tensor_to_bytes
 from holobind.trainer import (
     _head_forward,
+    _logit_grad,
     backbone_applier,
     bound_views,
     evaluate,
@@ -57,11 +58,13 @@ from holobind.trainer import (
     worker_views,
 )
 from holobind.vsa import (
+    batch_unbind,
+    batch_unbind_transpose,
     bind,
-    bind_transpose,
     cosine,
     probe_curves,
     sample_secret,
+    sample_secret_spectra,
     unbind,
 )
 
@@ -236,15 +239,16 @@ def test_criterion_06_gradient_audit():
         lambda v: float(np.sum(leaky_relu_forward(v, 0.1) * uph)),
         h, 20, g)
 
-    logits = g.normal(size=(4,))
-    label = 2
-    probs = softmax(logits[None, :])[0]
-    grad_logits = probs.copy()
-    grad_logits[label] -= 1.0
+    # the logit gradient that training and the strong adversary run: mean
+    # cross-entropy over a batch of three
+    logits = g.normal(size=(3, 4))
+    labels = np.array([2, 0, 3])
+    grad_logits = _logit_grad(softmax(logits), labels)
     worst["softmax_ce"] = _max_rel_err(
-        grad_logits,
-        lambda z: float(-np.log(softmax(z[None, :])[0][label] + 1e-300)),
-        logits, 4, g)
+        grad_logits.reshape(-1),
+        lambda z: float(np.mean(-np.log(softmax(z.reshape(3, 4))[np.arange(3), labels]
+                                        + 1e-300))),
+        logits.reshape(-1), 12, g)
 
     # reverse_grad: the training gradient is the negated loss gradient
     vec = g.normal(size=(12,))
@@ -255,14 +259,15 @@ def test_criterion_06_gradient_audit():
         lambda v: float(np.sum(v * upr)),
         vec, 12, g)
 
-    xs = g.normal(size=(8, 8))
-    s, _ = sample_secret((8, 8), RngStream(3))
-    upb = g.normal(size=(8, 8))
-    grad_bind = bind_transpose(upb, s)
-    worst["bind_linear_map"] = _max_rel_err(
-        grad_bind.reshape(-1),
-        lambda v: float(np.sum(bind(v.reshape(8, 8), s) * upb)),
-        xs.reshape(-1), 20, g)
+    # the binding backward that training runs: unbinding is a fixed linear map
+    rs = g.normal(size=(2, 8, 8, 1))
+    spectra, _ = sample_secret_spectra((8, 8, 1), 2, RngStream(3))
+    upb = g.normal(size=(2, 8, 8, 1))
+    grad_unbind = batch_unbind_transpose(upb, spectra)
+    worst["unbind_linear_map"] = _max_rel_err(
+        grad_unbind.reshape(-1),
+        lambda v: float(np.sum(batch_unbind(v.reshape(rs.shape), spectra) * upb)),
+        rs.reshape(-1), 20, g)
 
     overall = max(worst.values())
     ok = overall <= 1e-4

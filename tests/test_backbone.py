@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,7 @@ from holobind.backbone import (
     identity_spec,
     leaky_relu_backward,
     leaky_relu_forward,
-    linear_circconv_commutation_check,
-    linear_circconv_spec,
     parse_spec,
-    serialize_spec,
     toy_fw_spec,
     transform_cost,
 )
@@ -35,6 +33,8 @@ from holobind.vsa import sample_secret
 from oracles import (
     central_difference_at,
     direct_circ_crosscorr2d,
+    linear_circconv_commutation_check,
+    linear_circconv_spec,
     reference_backbone_backward,
     reference_backbone_forward,
     roll_circconv_backward,
@@ -311,10 +311,23 @@ def test_commutation_rejects_nonlinear_spec():
 
 # ---------------------------------------------------------------------- spec
 
+def _readme_toy_spec_text():
+    """The spec file README shows, the fenced block that starts '# the toy backbone'."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```\n# the toy backbone\n", 1)[1].split("```", 1)[0]
+
+
 def test_spec_round_trip_and_determinism():
+    # README's toy spec text materializes toy_fw_spec() bit for bit
     spec = toy_fw_spec()
-    text = serialize_spec(spec)
-    again = parse_spec(text)
+    again = parse_spec(_readme_toy_spec_text())
+    assert again.input_dims == spec.input_dims
+    assert [type(layer) for layer in again.layers] == [type(layer) for layer in spec.layers]
+    for ours, theirs in zip(spec.layers, again.layers):
+        if isinstance(ours, CircConv2d):
+            assert np.array_equal(ours.kernel, theirs.kernel)
+        else:
+            assert ours == theirs
     x = np.random.default_rng(11).normal(size=(16, 16, 1))
     assert np.array_equal(spec(x), again(x))
     assert again.shape_preserving
@@ -341,7 +354,7 @@ def test_spec_shape_chain_validated_at_load():
         with pytest.raises(SpecError):
             parse_spec(line + "\n")
     seeded_0 = parse_spec("input 4 4 1\ncircconv2d 3 3 1 1 0\n")
-    assert parse_spec(serialize_spec(seeded_0)).layers[0].seed == 0
+    assert np.array_equal(seeded_0.layers[0].kernel, CircConv2d.from_seed(3, 3, 1, 1, 0).kernel)
     # a comment runs from its '#' to the end of the line, wherever it starts
     commented = parse_spec("# toy\ninput 4 4 1\n  # indented comment\nidentity  # trailing\n")
     assert commented.input_dims == (4, 4, 1) and commented.layers == (Identity(),)
@@ -361,19 +374,13 @@ def test_dense_layer_output_dims():
     assert out.shape == (10,)
 
 
-def test_serialize_spec_refuses_trained_layers():
-    # a trained layer has no seed, so the text format cannot rebuild it
-    with pytest.raises(SpecError):
-        serialize_spec(init_toy_model(1).backbone)
-    with pytest.raises(SpecError):
-        serialize_spec(BackboneSpec((2, 2, 1), (DenseLayer(np.ones((3, 4))),)))
-
-
-# Every layer kind: identity; circconv2d on all three channel paths and
-# pointwise (the toy stack on two channels); dense.
+# Every layer kind: identity; circconv2d with Cin below, equal to and above
+# Cout, and pointwise (the toy stack on two channels); dense.
 LAYER_KIND_SPECS = {
     "identity": "input 4 4 2\nidentity\n",
-    "conv_pointwise": serialize_spec(toy_fw_spec((4, 4, 2))),
+    "conv_pointwise": ("input 4 4 2\ncircconv2d 3 3 2 16 100\npointwise leaky_relu 0.1\n"
+                       "circconv2d 3 3 16 16 101\npointwise leaky_relu 0.1\n"
+                       "circconv2d 3 3 16 2 102\n"),
     "dense": "input 4 4 2\ndense 6 32 3\n",
 }
 

@@ -172,6 +172,19 @@ def test_handler_malformed_keeps_request_id():
     assert resp.request_id == 31
 
 
+def test_handler_and_worker_survive_a_container_with_more_dims_than_numpy_has():
+    # 65 unit extents and one value: a well-sized container no array can hold
+    msg = (REQUEST_MAGIC + struct.pack("<HQB3x", 1, 41, 0) + b"HBT1"
+           + struct.pack("<BB65I", 1, 65, *[1] * 65) + struct.pack("<f", 1.0))
+    spec = identity_spec((2, 2, 1))
+    resp = decode_response(handle_request_bytes(spec, msg))
+    assert resp.status == STATUS_MALFORMED and resp.request_id == 41
+    valid = encode_request(BoundRequest(42, _f32(np.ones((2, 2, 1)))))
+    with WorkerServer(spec) as server, TcpTransport(*server.address) as transport:
+        assert decode_response(transport.request(msg)).status == STATUS_MALFORMED
+        assert decode_response(transport.request(valid)).status == STATUS_OK
+
+
 def test_handler_apply_failure_status():
     spec = _failing_spec((2, 2, 1), ValueError("boom"))
     msg = encode_request(BoundRequest(3, _f32(np.ones((2, 2, 1)))))
@@ -353,6 +366,34 @@ def test_client_surfaces_remote_failure():
     with pytest.raises(RemoteFailureError) as err:
         client_infer(x, plan, model)
     assert err.value.status == STATUS_APPLY_ERROR
+
+
+@pytest.mark.parametrize("fault", ["id", "dims"])
+def test_client_refuses_a_reply_that_does_not_match_its_request(fault):
+    # the second of three replies echoes the wrong id or carries other dims
+    class RewritingTransport(protocol.Transport):
+        def __init__(self, inner):
+            self.inner, self.replies = inner, 0
+
+        def request(self, data):
+            reply = self.inner.request(data)
+            self.replies += 1
+            if self.replies != 2:
+                return reply
+            resp = decode_response(reply)
+            if fault == "id":
+                return encode_response(BoundResponse(resp.request_id + 1, STATUS_OK, resp.payload))
+            return encode_response(BoundResponse(resp.request_id, STATUS_OK, resp.payload[:8, :8]))
+
+    transport = RewritingTransport(LoopbackTransport(identity_spec((16, 16, 1))))
+    plan = QueryPlan(3, RngStream(26), transport)
+    before = plan.rng
+    x = np.random.default_rng(26).normal(size=(16, 16, 1))
+    match = "does not echo" if fault == "id" else r"response dims \(8, 8, 1\)"
+    with pytest.raises(ProtocolError, match=match):
+        client_infer(x, plan, init_toy_model(7))
+    assert transport.replies == 2
+    assert plan.rng == before
 
 
 def _recording_transport(kind, model):

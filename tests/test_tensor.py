@@ -1,3 +1,4 @@
+import struct
 import sys
 import threading
 
@@ -227,6 +228,26 @@ def test_container_unknown_dtype_code():
     with pytest.raises(FormatError) as err:
         tensor_from_bytes(bytes(data))
     assert err.value.offset == 4
+
+
+@pytest.mark.parametrize("fault, data, offset", [
+    ("truncated header", b"HBT1\x02", 5),
+    ("truncated extents", b"HBT1\x02\x03" + struct.pack("<I", 2), 10),
+    ("zero extent", b"HBT1\x02\x02" + struct.pack("<2I", 2, 0), 6),
+    # more extents than a numpy array can have, each 1, with its one value
+    ("65 dims", b"HBT1\x02\x41" + struct.pack("<65I", *[1] * 65) + struct.pack("<d", 1.0), 5),
+])
+def test_container_reader_fault_offsets(fault, data, offset):
+    with pytest.raises(FormatError) as err:
+        tensor_from_bytes(data)
+    assert err.value.offset == offset, fault
+
+
+def test_container_writer_refuses_an_unknown_dtype():
+    with pytest.raises(ParameterError, match="unknown dtype"):
+        tensor_to_bytes(np.ones(2), "f16")
+    with pytest.raises(ParameterError, match="unknown dtype"):
+        container_size((2,), "f16")
 
 
 def test_container_rejects_nonfinite():

@@ -176,16 +176,23 @@ def test_nan_loss_aborts_with_diagnostics():
 
 
 def test_gradient_reversal_path_identity():
-    # joint backward equals pred-only plus adv-only path gradients
+    # joint backward equals pred-only plus adv-only path gradients; one-hot
+    # labels passed as a head's probs give that head a logit gradient of
+    # exactly zero, which isolates the other path
     data = synth_dataset(3, n_train=64, n_test=32)
     model = init_toy_model(4, data.n_classes, data.dims)
     x = data.train_images[:16]
     y = data.train_labels[:16]
     spectra, _ = draw_secret_spectra(16, data.dims, RngStream(11))
     p_probs, a_probs, caches = forward_batch(model, x, spectra)
+    one_hot = np.eye(data.n_classes)[y]
     joint = backward_batch(model, caches, p_probs, a_probs, y)
-    pred_only = backward_batch(model, caches, p_probs, a_probs, y, use_adv=False)
-    adv_only = backward_batch(model, caches, p_probs, a_probs, y, use_pred=False)
+    pred_only = backward_batch(model, caches, p_probs, one_hot, y)
+    adv_only = backward_batch(model, caches, one_hot, a_probs, y)
+    for name in ("a_w1", "a_b1", "a_w2", "a_b2"):
+        assert not np.any(pred_only[name]), name
+    for name in ("p_w1", "p_b1", "p_w2", "p_b2"):
+        assert not np.any(adv_only[name]), name
     for name in joint:
         combined = pred_only[name] + adv_only[name]
         assert np.max(np.abs(joint[name] - combined)) <= 1e-10, name
@@ -374,6 +381,28 @@ def test_malformed_model_file_is_format_error(tmp_path, fault):
     with pytest.raises(FormatError) as err:
         load_model(path)
     assert 34 <= err.value.offset <= path.stat().st_size
+
+
+def test_model_file_fault_offsets(tmp_path):
+    # an unsupported version is reported at the version field; a bad
+    # parameter container at the fault's offset inside its blob
+    model = init_toy_model(8)
+    path = tmp_path / "bad.model"
+    data = bytearray(_model_file(model))
+    data[4:6] = struct.pack("<H", 2)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="version 2") as err:
+        load_model(path)
+    assert err.value.offset == 4
+    entries = [(n.encode(), tensor_to_bytes(model.params[n], "f64")) for n in _PARAM_NAMES]
+    blob = bytearray(entries[1][1])
+    blob[4] = 9  # an unknown dtype code, at offset 4 of conv2's container
+    entries[1] = (entries[1][0], bytes(blob))
+    path.write_bytes(_model_file(model, entries))
+    conv2_blob = 34 + 5 + len(b"conv1") + len(entries[0][1]) + 5 + len(b"conv2")
+    with pytest.raises(FormatError, match="bad conv2 container") as err:
+        load_model(path)
+    assert err.value.offset == conv2_blob + 4
 
 
 def test_bound_views_match_worker_views():

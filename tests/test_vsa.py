@@ -12,11 +12,11 @@ from holobind.errors import (
 from holobind.tensor import RngStream
 from holobind.vsa import (
     Bundle,
-    Secret,
     _half_cosines,
     _half_spectrum,
+    batch_unbind,
+    batch_unbind_transpose,
     bind,
-    bind_transpose,
     bundle_add,
     cosine,
     from_spectrum,
@@ -140,11 +140,13 @@ def test_bind_shape_mismatch():
 
 
 def test_bind_transpose_is_adjoint():
-    # <bind(x,s), g> == <x, bind_transpose(g,s)> defines the adjoint
+    # <batch_unbind(r, S), g> == <r, batch_unbind_transpose(g, S)> defines the
+    # adjoint: the binding backward that training runs
     g = np.random.default_rng(10)
-    x, s, up = (g.normal(size=(6, 6)) for _ in range(3))
-    lhs = np.sum(bind(x, s) * up)
-    rhs = np.sum(x * bind_transpose(up, s))
+    spectra, _ = sample_secret_spectra((6, 6, 2), 3, RngStream(10))
+    r, up = (g.normal(size=(3, 6, 6, 2)) for _ in range(2))
+    lhs = np.sum(batch_unbind(r, spectra) * up)
+    rhs = np.sum(r * batch_unbind_transpose(up, spectra))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -161,7 +163,6 @@ def test_bind_commutativity_property(d, seed):
 def test_inverse_of_projected_is_projected():
     s, _ = sample_secret((8, 8), RngStream(11))
     inv = inverse(s)
-    assert inv.projected
     assert np.max(np.abs(np.abs(spectrum(inv.tensor)) - 1.0)) <= 1e-9
 
 
@@ -238,7 +239,6 @@ def test_sample_secret_unit_magnitudes():
     mags = np.abs(spectrum(s.tensor))
     assert mags.size == 256
     assert np.max(np.abs(mags - 1.0)) <= 1e-9
-    assert s.projected
 
 
 def test_sample_secret_deterministic():
@@ -335,15 +335,6 @@ def test_presence_probe_single_pair_exact():
     y, _ = sample_secret((16, 16), RngStream(18))
     b = bundle_add(Bundle.empty((16, 16)), x, y)
     assert presence_probe(b, y, x) >= 0.999
-
-
-def test_presence_probe_mode_guard():
-    g = np.random.default_rng(19)
-    x = g.normal(size=(8, 8))
-    y = Secret(g.normal(size=(8, 8)), projected=False)
-    b = bundle_add(Bundle.empty((8, 8)), x, y)
-    with pytest.raises(ParameterError):
-        presence_probe(b, y, x, use_projection=True)
 
 
 def test_probe_curves_match_bundle_theory():
