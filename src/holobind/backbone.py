@@ -11,6 +11,8 @@ trains the same BackboneSpec a worker serves.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +22,9 @@ from .tensor import RngStream
 
 LEAKY_ALPHA = 0.1  # negative slope of the toy backbone's and heads' leaky-relu
 
-# Items per block of an inference forward: a block's gathered conv taps
-# (1.2 MB for the toy model's conv2 at 4 items) stay in a 4 MiB L2 cache,
-# where 16 items' taps (4.7 MB) would spill to memory.
+# Items per block of a forward and a backward pass: a block's gathered conv
+# taps (1.2 MB for the toy model's conv2 at 4 items) stay in a 4 MiB L2
+# cache, where 16 items' taps (4.7 MB) would spill to memory.
 FORWARD_BLOCK = 4
 
 
@@ -276,6 +278,20 @@ class DenseLayer:
         return (grad_out @ self.weight).reshape(t.shape)
 
 
+def _one_allocation(shapes) -> list:
+    """Uninitialised float arrays of the given shapes, views of one buffer.
+
+    A toy-model training step keeps 4 MB of layer inputs. As one block,
+    glibc's malloc keeps it on its heap from one step to the next. As four
+    blocks of 1 MB it returned their pages after each step and faulted
+    them in again: a few hundred page faults a step, and about 8% more
+    time per training run on a 2-core x86 virtual machine.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.empty(sum(sizes)), list(itertools.accumulate(sizes))[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
 @dataclass(frozen=True)
 class BackboneSpec:
     """Validated layer chain; immutable and safe to share across threads."""
@@ -308,37 +324,60 @@ class BackboneSpec:
     def forward(self, batch: np.ndarray, keep_inputs: bool = False):
         """Forward of a batch of items; returns (outputs, layer inputs).
 
-        The layer inputs, which ``backward`` needs, are kept only when
-        ``keep_inputs`` is set. Otherwise no inputs are returned, and the
-        layers run over blocks of FORWARD_BLOCK items; every layer treats
-        items independently, so the outputs are those of one full pass.
+        The layers run over blocks of FORWARD_BLOCK items. Every layer treats
+        items independently, so the outputs are those of one full pass, bit
+        for bit. When ``keep_inputs`` is set, each layer's input over the
+        whole batch, which ``backward`` needs, is filled in block by block
+        (the first layer's is the batch itself); otherwise no inputs are
+        returned. A batch of no items runs as one empty block.
         """
         t = np.asarray(batch, dtype=np.float64)
         if t.shape[1:] != self.input_dims:
             raise ShapeError(f"batch item dims {t.shape[1:]} != spec input {self.input_dims}")
-        if not keep_inputs and len(t) > FORWARD_BLOCK:
-            return np.concatenate([self.forward(t[i:i + FORWARD_BLOCK])[0]
-                                   for i in range(0, len(t), FORWARD_BLOCK)]), []
-        inputs = []
-        for layer in self.layers:
-            if keep_inputs:
-                inputs.append(t)
-            t = layer.forward(t)
-        return t, inputs
+        n, inputs = len(t), []
+        if keep_inputs and self.layers:
+            dims, shapes = self.input_dims, []
+            for layer in self.layers[:-1]:
+                dims = layer.output_dims(dims)
+                shapes.append((n,) + dims)
+            inputs = [t] + _one_allocation(shapes)
+        outs = []
+        for start in range(0, max(n, 1), FORWARD_BLOCK):
+            block = slice(start, start + FORWARD_BLOCK)
+            u = t[block]
+            for k, layer in enumerate(self.layers):
+                if k and keep_inputs:
+                    inputs[k][block] = u
+                u = layer.forward(u)
+            outs.append(u)
+        # a batch of one block, as a served request usually is, needs no copy
+        return (outs[0] if len(outs) == 1 else np.concatenate(outs)), inputs
 
     def backward(self, inputs, grad_out: np.ndarray) -> list:
         """Each layer's parameter gradient (None where it has none).
 
         ``inputs`` are the layer inputs from ``forward(..., keep_inputs=True)``
         and ``grad_out`` is the gradient of the loss w.r.t. its outputs. The
+        pass runs over the forward's blocks of FORWARD_BLOCK items: each
+        block carries its input gradient down the layers, and each layer's
+        parameter gradient is the sum of its blocks' partial sums, added in
+        block order. Input gradients treat items independently; parameter
+        gradients differ from one whole-batch product in the last bits. The
         gradient w.r.t. the batch itself is not computed.
         """
-        grads = []
-        for k in reversed(range(len(self.layers))):
-            layer, t = self.layers[k], inputs[k]
-            grads.insert(0, layer.param_grad(t, grad_out))
-            if k:
-                grad_out = layer.input_grad(t, grad_out)
+        grads = [None] * len(self.layers)
+        # a batch of no items still runs one (empty) block, so that each
+        # layer with parameters returns a zero gradient
+        for start in range(0, max(len(grad_out), 1), FORWARD_BLOCK):
+            block = slice(start, start + FORWARD_BLOCK)
+            g = grad_out[block]
+            for k in reversed(range(len(self.layers))):
+                layer, t = self.layers[k], inputs[k][block]
+                grad = layer.param_grad(t, g)
+                if grad is not None:
+                    grads[k] = grad if grads[k] is None else grads[k] + grad
+                if k:
+                    g = layer.input_grad(t, g)
         return grads
 
 

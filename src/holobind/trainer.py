@@ -249,10 +249,9 @@ def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels) -> dict:  
     """
     params = model.params
     backbone, layer_inputs, p_cache, a_cache, secret_spectra, r_shape = caches
-    grads = {name: np.zeros_like(params[name]) for name in _PARAM_NAMES}
-    grad_r = np.zeros(r_shape)
+    grads = {}
     g_u_flat = _head_backward(params, "p", p_cache, p_probs, labels, grads)
-    grad_r += batch_unbind_transpose(g_u_flat.reshape(r_shape), secret_spectra)
+    grad_r = batch_unbind_transpose(g_u_flat.reshape(r_shape), secret_spectra)
     g_a_flat = _head_backward(params, "a", a_cache, a_probs, labels, grads)
     grad_r += REVERSAL_WEIGHT * reverse_grad_backward(g_a_flat.reshape(r_shape))
     conv_grads = [g for g in backbone.backward(layer_inputs, grad_r) if g is not None]

@@ -23,6 +23,7 @@ from holobind.altbind import (
 )
 from holobind.attacks import _psd_sqrt, fit_gaussian_stats
 from holobind.backbone import (
+    FORWARD_BLOCK,
     BackboneSpec,
     CircConv2d,
     Identity,
@@ -208,6 +209,37 @@ def reference_backbone_backward(params, cache, grad_r, alpha=0.1):
     gk2, ga1 = circconv_backward(params["conv2"], a1, gh2)
     gh1 = leaky_relu_backward(h1, ga1, alpha)
     gk1, _ = circconv_backward(params["conv1"], xb, gh1)
+    return gk1, gk2, gk3
+
+
+def blocked_reference_backbone_backward(params, cache, grad_r, alpha=0.1):
+    """``reference_backbone_backward`` over FORWARD_BLOCK-item slices.
+
+    Each kernel gradient is the sum of the slices' gradients, added in slice
+    order: the mini-batch split that ``BackboneSpec.backward`` runs.
+    """
+    total = None
+    for start in range(0, len(grad_r), FORWARD_BLOCK):
+        part = slice(start, start + FORWARD_BLOCK)
+        grads = reference_backbone_backward(params, [c[part] for c in cache], grad_r[part], alpha)
+        total = grads if total is None else tuple(a + b for a, b in zip(total, grads))
+    return total
+
+
+def reference_kernel_grad_magnitudes(params, cache, grad_r, alpha=0.1):
+    """Per kernel gradient entry, the sum of the |products| that it adds up.
+
+    Summed in any order, an entry of n products lies within gamma_n times
+    this of its exact value (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 3.1); returns (conv1, conv2, conv3) like
+    ``reference_backbone_backward``.
+    """
+    xb, h1, a1, h2, a2 = cache
+    gk3 = circconv_backward(params["conv3"], np.abs(a2), np.abs(grad_r))[0]
+    gh2 = leaky_relu_backward(h2, circconv_backward(params["conv3"], a2, grad_r)[1], alpha)
+    gk2 = circconv_backward(params["conv2"], np.abs(a1), np.abs(gh2))[0]
+    gh1 = leaky_relu_backward(h1, circconv_backward(params["conv2"], a1, gh2)[1], alpha)
+    gk1 = circconv_backward(params["conv1"], np.abs(xb), np.abs(gh1))[0]
     return gk1, gk2, gk3
 
 

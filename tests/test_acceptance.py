@@ -6,7 +6,6 @@ shared by the criteria that audit it.
 """
 
 import numpy as np
-import pytest
 
 from holobind.altbind import (
     hilbert_hrr_bind,
@@ -22,7 +21,6 @@ from holobind.attacks import (
     clustering_attack,
     inversion_attack,
     secret_regression_attack,
-    strong_adversary,
 )
 from holobind.backbone import (
     DenseLayer,
@@ -61,7 +59,6 @@ from holobind.vsa import (
     batch_unbind,
     batch_unbind_transpose,
     bind,
-    cosine,
     probe_curves,
     sample_secret,
     sample_secret_spectra,

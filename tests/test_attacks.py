@@ -3,10 +3,7 @@ import pytest
 
 from holobind import attacks
 from holobind.attacks import (
-    AttackReport,
     GaussianStats,
-    PixelPca,
-    ReferencePrior,
     ari,
     build_reference,
     clustering_attack,
@@ -24,7 +21,6 @@ from holobind.trainer import synth_dataset
 from holobind.vsa import (
     Secret,
     bind,
-    cosine,
     from_spectrum,
     project,
     sample_secret,

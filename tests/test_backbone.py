@@ -11,7 +11,6 @@ from holobind.backbone import (
     CircConv2d,
     DenseLayer,
     Identity,
-    Pointwise,
     circconv_backward,
     circconv_forward,
     conv_chain,
@@ -31,6 +30,7 @@ from holobind.trainer import init_toy_model
 from holobind.vsa import sample_secret
 
 from oracles import (
+    blocked_reference_backbone_backward,
     central_difference_at,
     direct_circ_crosscorr2d,
     linear_circconv_commutation_check,
@@ -317,7 +317,7 @@ def _readme_toy_spec_text():
     return readme.split("```\n# the toy backbone\n", 1)[1].split("```", 1)[0]
 
 
-def test_spec_round_trip_and_determinism():
+def test_readme_spec_parses_to_toy_fw_spec():
     # README's toy spec text materializes toy_fw_spec() bit for bit
     spec = toy_fw_spec()
     again = parse_spec(_readme_toy_spec_text())
@@ -428,6 +428,40 @@ def test_forward_memory_stays_bounded_by_its_blocks():
     assert out.shape == batch.shape
     # a block's gathered conv2 taps are 1.2 MB; a 64-item pass at once needs 19 MB
     assert peak <= 2 * 2 ** 20
+
+
+def test_backward_memory_stays_bounded_by_its_blocks():
+    model = init_toy_model(5)
+    spec = model.backbone
+    g = np.random.default_rng(17)
+    batch = g.normal(size=(64,) + spec.input_dims)
+    grad_r = g.normal(size=(64,) + spec.output_dims)
+    _, one = spec.forward(batch[:1], keep_inputs=True)
+    spec.backward(one, grad_r[:1])  # the tap tables are built once per shape, before the count
+    _, inputs = spec.forward(batch, keep_inputs=True)
+    tracemalloc.start()
+    try:
+        grads = spec.backward(inputs, grad_r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [grad is None for grad in grads] == [False, True, False, True, False]
+    # a block's gathered conv2 taps are 1.2 MB; a 64-item pass at once needs 19 MB
+    assert peak <= 2 * 2 ** 20
+
+
+def test_backward_sums_its_blocks_in_order():
+    model = init_toy_model(5)
+    g = np.random.default_rng(18)
+    # 37 items run as blocks of FORWARD_BLOCK, the last one partial
+    xb = g.normal(size=(37, 16, 16, 1))
+    grad_r = g.normal(size=(37, 16, 16, 1))
+    _, inputs = model.backbone.forward(xb, keep_inputs=True)
+    grads = [grad for grad in model.backbone.backward(inputs, grad_r) if grad is not None]
+    _, cache = reference_backbone_forward(model.params, xb)
+    blocked = blocked_reference_backbone_backward(model.params, cache, grad_r)
+    for mine, theirs in zip(grads, blocked, strict=True):
+        assert np.array_equal(mine, theirs)
 
 
 def test_spec_forward_rejects_wrong_item_dims():

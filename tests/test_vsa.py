@@ -139,7 +139,7 @@ def test_bind_shape_mismatch():
         bind(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
-def test_bind_transpose_is_adjoint():
+def test_batch_unbind_transpose_is_adjoint():
     # <batch_unbind(r, S), g> == <r, batch_unbind_transpose(g, S)> defines the
     # adjoint: the binding backward that training runs
     g = np.random.default_rng(10)
