@@ -24,6 +24,11 @@ from .vsa import (Secret, cosine, from_spectrum, inverse, project, spectrum, unb
                   unit_spectrum)
 
 EPS_PSD = 1e-8
+KMEANS_MAX_ITER = 100  # Lloyd iterations at most
+KMEANS_TOL = 1e-6  # largest center move that counts as converged
+RECOVERY_THRESHOLD = 0.2  # inversion recovery cosine at or below which the defense held
+FD_EPS = 1e-6  # finite-difference step of the inversion gradient check
+FD_TOL = 1e-3  # relative error the inversion gradient check allows
 
 
 # ----------------------------------------------------------------- reporting
@@ -69,13 +74,17 @@ def fit_gaussian_stats(points: np.ndarray) -> GaussianStats:
     return GaussianStats(mean, 0.5 * (cov + cov.T))
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    w, v = np.linalg.eigh(sym)
+def _psd_eigh(mat: np.ndarray):
+    """Eigenvalues and eigenvectors of mat's symmetric part, which must be PSD within EPS_PSD."""
+    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
     if np.min(w) < -EPS_PSD * max(1.0, float(np.max(np.abs(w)))):
         raise ParameterError(f"matrix is not PSD within tolerance (min eig {np.min(w):.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return w, v
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    w, v = _psd_eigh(mat)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def _frechet(stats: GaussianStats, ref: GaussianStats, ref_root: np.ndarray):
@@ -87,10 +96,7 @@ def _frechet(stats: GaussianStats, ref: GaussianStats, ref_root: np.ndarray):
     carries N(S) onto N(R) and makes the score's S-gradient I - T, floors
     them at 1e-12. ``ref_root`` is R^1/2.
     """
-    k = ref_root @ stats.cov @ ref_root
-    w, v = np.linalg.eigh(0.5 * (k + k.T))
-    if np.min(w) < -EPS_PSD * max(1.0, float(np.max(np.abs(w)))):
-        raise ParameterError(f"matrix is not PSD within tolerance (min eig {np.min(w):.3e})")
+    w, v = _psd_eigh(ref_root @ stats.cov @ ref_root)
     mean_term = float(np.sum((stats.mean - ref.mean) ** 2))
     cross = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
     score = mean_term + float(np.trace(stats.cov) + np.trace(ref.cov) - 2.0 * cross)
@@ -112,8 +118,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 
 # -------------------------------------------------------------------- kmeans
 
-def kmeans(points, k: int, rng: RngStream, max_iter: int = 100, tol: float = 1e-6,
-           return_history: bool = False):  # perfbench wraps this
+def kmeans(points, k: int, rng: RngStream, return_history: bool = False):  # perfbench wraps this
     """Lloyd iterations from k-means++ seeding; deterministic given rng.
 
     Empty clusters are re-seeded from the point farthest from its center.
@@ -145,7 +150,7 @@ def kmeans(points, k: int, rng: RngStream, max_iter: int = 100, tol: float = 1e-
     history = []
     labels = np.zeros(n, dtype=np.int64)
     prev_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(dists, axis=1)
         inertia = float(dists[np.arange(n), labels].sum())
@@ -158,7 +163,7 @@ def kmeans(points, k: int, rng: RngStream, max_iter: int = 100, tol: float = 1e-
             else:
                 farthest = int(np.argmax(dists[np.arange(n), labels]))
                 new_centers[c] = pts[farthest]
-        if np.max(np.abs(new_centers - centers)) < tol and inertia <= prev_inertia:
+        if np.max(np.abs(new_centers - centers)) < KMEANS_TOL and inertia <= prev_inertia:
             centers = new_centers
             break
         centers = new_centers
@@ -339,8 +344,7 @@ def _inversion_objective(batch: np.ndarray, reference: ReferencePrior):
 
 def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
                      rng: RngStream, x_true=None, s_init: Secret | None = None,
-                     validate_gradient: bool = True,  # perfbench wraps this
-                     recovery_threshold: float = 0.2) -> InversionResult:
+                     validate_gradient: bool = True) -> InversionResult:  # perfbench wraps this
     """Projected gradient descent on a real unbinding filter.
 
     ``bound`` is the batch of bound tensors the adversary collected; one
@@ -387,27 +391,27 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
         score=trajectory[-1],
         score_kind="frechet",
         seed=rng.seed,
-        threshold=recovery_threshold,
-        verdict=_verdict(recovery, recovery_threshold) if recovery is not None else "n/a",
+        threshold=RECOVERY_THRESHOLD,
+        verdict=_verdict(recovery, RECOVERY_THRESHOLD) if recovery is not None else "n/a",
         params={"steps": steps, "lr": lr, "batch": n,
                 "recovery_cosine": recovery},
     )
     return InversionResult(s_hat, trajectory, report, recovery)
 
 
-def _validate_inversion_gradient(score_and_grad, filt, rng, eps=1e-6, tol=1e-3):
+def _validate_inversion_gradient(score_and_grad, filt, rng):
     """FD-check the analytic filter gradient at three drawn entries; perfbench wraps it."""
     _, grad = score_and_grad(filt)
     idx, _ = rng.integers(0, filt.size, 3)
     for i in idx:
         probe = filt.copy().ravel()
-        probe[i] += eps
+        probe[i] += FD_EPS
         hi, _ = score_and_grad(probe.reshape(filt.shape))
-        probe[i] -= 2 * eps
+        probe[i] -= 2 * FD_EPS
         lo, _ = score_and_grad(probe.reshape(filt.shape))
-        fd = (hi - lo) / (2 * eps)
+        fd = (hi - lo) / (2 * FD_EPS)
         analytic = grad.ravel()[i]
-        if abs(fd - analytic) > tol * max(1.0, abs(fd)):
+        if abs(fd - analytic) > FD_TOL * max(1.0, abs(fd)):
             raise ParameterError(
                 f"inversion gradient check failed at index {i}: "
                 f"analytic {analytic:.6g} vs finite-difference {fd:.6g}"

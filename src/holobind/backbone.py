@@ -11,8 +11,6 @@ trains the same BackboneSpec a worker serves.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,20 +276,6 @@ class DenseLayer:
         return (grad_out @ self.weight).reshape(t.shape)
 
 
-def _one_allocation(shapes) -> list:
-    """Uninitialised float arrays of the given shapes, views of one buffer.
-
-    A toy-model training step keeps 4 MB of layer inputs. As one block,
-    glibc's malloc keeps it on its heap from one step to the next. As four
-    blocks of 1 MB it returned their pages after each step and faulted
-    them in again: a few hundred page faults a step, and about 8% more
-    time per training run on a 2-core x86 virtual machine.
-    """
-    sizes = [math.prod(shape) for shape in shapes]
-    parts = np.split(np.empty(sum(sizes)), list(itertools.accumulate(sizes))[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
-
-
 @dataclass(frozen=True)
 class BackboneSpec:
     """Validated layer chain; immutable and safe to share across threads."""
@@ -322,57 +306,50 @@ class BackboneSpec:
         return out[0]
 
     def forward(self, batch: np.ndarray, keep_inputs: bool = False):
-        """Forward of a batch of items; returns (outputs, layer inputs).
+        """Forward of a batch of items; returns (outputs, tape).
 
         The layers run over blocks of FORWARD_BLOCK items. Every layer treats
         items independently, so the outputs are those of one full pass, bit
-        for bit. When ``keep_inputs`` is set, each layer's input over the
-        whole batch, which ``backward`` needs, is filled in block by block
-        (the first layer's is the batch itself); otherwise no inputs are
-        returned. A batch of no items runs as one empty block.
+        for bit. When ``keep_inputs`` is set, the tape that ``backward``
+        needs holds, per block in order, that block's input to each layer:
+        its slice of the batch, then each layer's own output, uncopied.
+        Otherwise the tape is empty. A batch of no items runs as one empty
+        block.
         """
         t = np.asarray(batch, dtype=np.float64)
         if t.shape[1:] != self.input_dims:
             raise ShapeError(f"batch item dims {t.shape[1:]} != spec input {self.input_dims}")
-        n, inputs = len(t), []
-        if keep_inputs and self.layers:
-            dims, shapes = self.input_dims, []
-            for layer in self.layers[:-1]:
-                dims = layer.output_dims(dims)
-                shapes.append((n,) + dims)
-            inputs = [t] + _one_allocation(shapes)
-        outs = []
-        for start in range(0, max(n, 1), FORWARD_BLOCK):
-            block = slice(start, start + FORWARD_BLOCK)
-            u = t[block]
-            for k, layer in enumerate(self.layers):
-                if k and keep_inputs:
-                    inputs[k][block] = u
+        outs, tape = [], []
+        for start in range(0, max(len(t), 1), FORWARD_BLOCK):
+            u, inputs = t[start:start + FORWARD_BLOCK], []
+            for layer in self.layers:
+                if keep_inputs:
+                    inputs.append(u)
                 u = layer.forward(u)
+            if keep_inputs:
+                tape.append(inputs)
             outs.append(u)
         # a batch of one block, as a served request usually is, needs no copy
-        return (outs[0] if len(outs) == 1 else np.concatenate(outs)), inputs
+        return (outs[0] if len(outs) == 1 else np.concatenate(outs)), tape
 
-    def backward(self, inputs, grad_out: np.ndarray) -> list:
+    def backward(self, tape, grad_out: np.ndarray) -> list:
         """Each layer's parameter gradient (None where it has none).
 
-        ``inputs`` are the layer inputs from ``forward(..., keep_inputs=True)``
-        and ``grad_out`` is the gradient of the loss w.r.t. its outputs. The
-        pass runs over the forward's blocks of FORWARD_BLOCK items: each
-        block carries its input gradient down the layers, and each layer's
-        parameter gradient is the sum of its blocks' partial sums, added in
-        block order. Input gradients treat items independently; parameter
-        gradients differ from one whole-batch product in the last bits. The
-        gradient w.r.t. the batch itself is not computed.
+        ``tape`` comes from ``forward(..., keep_inputs=True)`` and
+        ``grad_out`` is the gradient of the loss w.r.t. its outputs. Each of
+        the tape's blocks carries its slice of ``grad_out`` down the layers,
+        and each layer's parameter gradient is the sum of its blocks' partial
+        sums, added in block order. Input gradients treat items
+        independently; parameter gradients differ from one whole-batch
+        product in the last bits. The gradient w.r.t. the batch itself is not
+        computed. A batch of no items has one empty block, so each layer with
+        parameters returns a zero gradient.
         """
         grads = [None] * len(self.layers)
-        # a batch of no items still runs one (empty) block, so that each
-        # layer with parameters returns a zero gradient
-        for start in range(0, max(len(grad_out), 1), FORWARD_BLOCK):
-            block = slice(start, start + FORWARD_BLOCK)
-            g = grad_out[block]
+        for i, inputs in enumerate(tape):
+            g = grad_out[i * FORWARD_BLOCK:(i + 1) * FORWARD_BLOCK]
             for k in reversed(range(len(self.layers))):
-                layer, t = self.layers[k], inputs[k][block]
+                layer, t = self.layers[k], inputs[k]
                 grad = layer.param_grad(t, g)
                 if grad is not None:
                     grads[k] = grad if grads[k] is None else grads[k] + grad

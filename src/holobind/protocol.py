@@ -304,11 +304,13 @@ _RECV_BYTES = 1 << 16
 def _read_frame(rfile, limit: int = MAX_FRAME_BYTES) -> bytes:
     """Read one length-prefixed frame of at most ``limit`` bytes from a buffered binary file."""
     header = rfile.read(4)
+    if len(header) < 4:
+        raise TransportError("connection closed mid-frame")
     length = int.from_bytes(header, "little")
     if length > limit:
         raise TransportError(f"frame of {length} bytes exceeds the {limit} cap")
     message = rfile.read(length)
-    if len(header) < 4 or len(message) < length:
+    if len(message) < length:
         raise TransportError("connection closed mid-frame")
     return message
 

@@ -231,13 +231,13 @@ def forward_batch(model: ToyModel, x, secret_spectra):  # perfbench wraps this
     """Full bound-pipeline forward pass; returns (pred_probs, adv_probs, caches)."""
     params = model.params
     backbone = model.backbone
-    r, layer_inputs = backbone.forward(batch_bind(x, secret_spectra), keep_inputs=True)
+    r, tape = backbone.forward(batch_bind(x, secret_spectra), keep_inputs=True)
     u = batch_unbind(r, secret_spectra)
     n = x.shape[0]
     p_probs, p_cache = _head_forward(params, "p", u.reshape(n, -1))
     adv_in = reverse_grad(r)
     a_probs, a_cache = _head_forward(params, "a", adv_in.reshape(n, -1))
-    return p_probs, a_probs, (backbone, layer_inputs, p_cache, a_cache, secret_spectra,
+    return p_probs, a_probs, (backbone, tape, p_cache, a_cache, secret_spectra,
                               r.shape)
 
 
@@ -248,13 +248,13 @@ def backward_batch(model: ToyModel, caches, p_probs, a_probs, labels) -> dict:  
     ``REVERSAL_WEIGHT``.
     """
     params = model.params
-    backbone, layer_inputs, p_cache, a_cache, secret_spectra, r_shape = caches
+    backbone, tape, p_cache, a_cache, secret_spectra, r_shape = caches
     grads = {}
     g_u_flat = _head_backward(params, "p", p_cache, p_probs, labels, grads)
     grad_r = batch_unbind_transpose(g_u_flat.reshape(r_shape), secret_spectra)
     g_a_flat = _head_backward(params, "a", a_cache, a_probs, labels, grads)
     grad_r += REVERSAL_WEIGHT * reverse_grad_backward(g_a_flat.reshape(r_shape))
-    conv_grads = [g for g in backbone.backward(layer_inputs, grad_r) if g is not None]
+    conv_grads = [g for g in backbone.backward(tape, grad_r) if g is not None]
     grads.update(zip(_CONV_NAMES, conv_grads))
     return grads
 

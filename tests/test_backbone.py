@@ -407,12 +407,33 @@ def test_batched_forward_matches_per_item_apply(kind):
 def test_forward_keeping_inputs_returns_each_full_batch_input(kind):
     spec = _kind_spec(kind)
     batch = np.random.default_rng(13).normal(size=(37,) + spec.input_dims)
-    out, inputs = spec.forward(batch, keep_inputs=True)
-    assert len(inputs) == len(spec.layers)
-    assert np.array_equal(inputs[0], batch)
-    for layer, t, t_next in zip(spec.layers, inputs, inputs[1:] + [out]):
-        assert len(t) == 37
-        assert np.array_equal(layer.forward(t), t_next)
+    out, tape = spec.forward(batch, keep_inputs=True)
+    # 37 items run as blocks of FORWARD_BLOCK, the last one partial, and
+    # each block's inputs, joined over the blocks, are the full-batch ones
+    assert [len(inputs[0]) for inputs in tape] == \
+        [FORWARD_BLOCK] * (37 // FORWARD_BLOCK) + [37 % FORWARD_BLOCK]
+    assert np.array_equal(np.concatenate([inputs[0] for inputs in tape]), batch)
+    for start, inputs in zip(range(0, 37, FORWARD_BLOCK), tape):
+        assert len(inputs) == len(spec.layers)
+        block_out = out[start:start + FORWARD_BLOCK]
+        for layer, t, t_next in zip(spec.layers, inputs, inputs[1:] + [block_out]):
+            assert np.array_equal(layer.forward(t), t_next)
+
+
+@pytest.mark.parametrize("kind", ["conv_pointwise", "identity", "toy"])
+def test_zero_item_batch_gives_no_outputs_and_zero_kernel_gradients(kind):
+    spec = _kind_spec(kind)
+    batch = np.zeros((0,) + spec.input_dims)
+    assert spec.forward(batch)[0].shape == (0,) + spec.output_dims
+    out, tape = spec.forward(batch, keep_inputs=True)
+    assert out.shape == (0,) + spec.output_dims
+    grads = spec.backward(tape, np.zeros(out.shape))
+    assert len(grads) == len(spec.layers)
+    for layer, grad in zip(spec.layers, grads):
+        if isinstance(layer, CircConv2d):
+            assert grad.shape == layer.kernel.shape and not grad.any()
+        else:
+            assert grad is None
 
 
 def test_forward_memory_stays_bounded_by_its_blocks():

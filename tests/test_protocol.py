@@ -558,6 +558,18 @@ def test_oversized_frame_rejected():
         b.close()
 
 
+def test_short_length_prefix_is_a_closed_connection_not_a_length():
+    a, b = socket.socketpair()
+    try:
+        a.sendall(b"\xff\xff\xff")  # three bytes of a prefix that would read 16 MiB
+        a.close()
+        with b.makefile("rb") as rfile, pytest.raises(TransportError, match="mid-frame"):
+            _read_frame(rfile, limit=1060)
+    finally:
+        a.close()
+        b.close()
+
+
 def test_client_refuses_a_reply_longer_than_its_request_before_reading_it():
     listener = socket.create_server(("127.0.0.1", 0))
     release = threading.Event()
