@@ -29,6 +29,10 @@ KMEANS_TOL = 1e-6  # largest center move that counts as converged
 RECOVERY_THRESHOLD = 0.2  # inversion recovery cosine at or below which the defense held
 FD_EPS = 1e-6  # finite-difference step of the inversion gradient check
 FD_TOL = 1e-3  # relative error the inversion gradient check allows
+FRESH_HEAD_BATCH = 32  # minibatch of the strong adversary's fresh head
+FRESH_HEAD_LR = 1e-3  # Adam step size of the strong adversary's fresh head
+STRONG_THRESHOLD = 0.45  # strong-adversary accuracy at or below which the defense held
+REGRESSION_THRESHOLD = 0.15  # held-out regression cosine at or below which the defense held
 
 
 # ----------------------------------------------------------------- reporting
@@ -219,8 +223,7 @@ def clustering_attack(outputs, true_labels, k: int, rng: RngStream,
 
 # ----------------------------------------------------------- strong adversary
 
-def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32,
-                      lr=1e-3):  # perfbench wraps this
+def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60):  # perfbench wraps this
     """Train a head with the adversarial architecture from scratch; returns its predictor."""
     n, d = x_flat.shape
     rng = RngStream(seed, counter=7 << 32)
@@ -230,12 +233,12 @@ def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32,
     state = AdamState.zeros_like(params)
     for _ in range(epochs):
         order, rng = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
+        for start in range(0, n, FRESH_HEAD_BATCH):
+            idx = order[start:start + FRESH_HEAD_BATCH]
             probs, cache = _head_forward(params, "a", x_flat[idx])
             grads = {}
             _head_backward(params, "a", cache, probs, labels[idx], grads)
-            params, state = adam_step(params, grads, state, lr)
+            params, state = adam_step(params, grads, state, FRESH_HEAD_LR)
 
     def predict(xq):
         probs, _ = _head_forward(params, "a", xq)
@@ -245,8 +248,7 @@ def _train_fresh_head(x_flat, labels, n_classes, seed, epochs=60, batch=32,
 
 
 def strong_adversary(train_r, train_labels, test_r, test_labels, seed: int,
-                     n_classes: int | None = None, threshold: float = 0.45,
-                     epochs: int = 60) -> AttackReport:
+                     n_classes: int | None = None, epochs: int = 60) -> AttackReport:
     """Retrain an adversarial-architecture head on labeled backbone outputs."""
     train_flat = np.asarray(train_r, dtype=np.float64).reshape(len(train_r), -1)
     test_flat = np.asarray(test_r, dtype=np.float64).reshape(len(test_r), -1)
@@ -260,8 +262,8 @@ def strong_adversary(train_r, train_labels, test_r, test_labels, seed: int,
         score=score,
         score_kind="accuracy",
         seed=seed,
-        threshold=threshold,
-        verdict=_verdict(score, threshold),
+        threshold=STRONG_THRESHOLD,
+        verdict=_verdict(score, STRONG_THRESHOLD),
         params={"n_train": len(train_flat), "n_test": len(test_flat), "classes": classes},
     )
 
@@ -420,8 +422,7 @@ def _validate_inversion_gradient(score_and_grad, filt, rng):
 
 # ---------------------------------------------------------- secret regression
 
-def secret_regression_attack(pairs, n_holdout: int = 16,
-                             threshold: float = 0.15, seed: int = 0) -> AttackReport:
+def secret_regression_attack(pairs, n_holdout: int = 16, seed: int = 0) -> AttackReport:
     """Least-squares linear map from bound tensors to their secrets.
 
     Fits on all but the last ``n_holdout`` pairs and reports the held-out
@@ -454,8 +455,8 @@ def secret_regression_attack(pairs, n_holdout: int = 16,
         score=float(np.mean(residuals)),
         score_kind="residual",
         seed=seed,
-        threshold=threshold,
-        verdict=_verdict(mean_cos, threshold),
+        threshold=REGRESSION_THRESHOLD,
+        verdict=_verdict(mean_cos, REGRESSION_THRESHOLD),
         params={
             "mean_cosine": mean_cos,
             "n_train": len(train_b),

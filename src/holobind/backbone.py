@@ -164,11 +164,6 @@ def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float) -> np
     return grad_out * ((x > 0) + alpha * (x <= 0))
 
 
-def dense_forward(weight: np.ndarray, x_flat: np.ndarray) -> np.ndarray:
-    """Affine-free dense map on flattened input: out = x @ weight.T."""
-    return x_flat @ weight.T
-
-
 # ------------------------------------------------------------------- layers
 #
 # Every layer method but ``output_dims(dims)`` and ``flops(dims)`` takes a
@@ -207,8 +202,6 @@ class CircConv2d:
         return cls(RngStream(seed).normal([kh, kw, cin, cout], 1.0 / (kh * kw * cin))[0])
 
     def output_dims(self, dims):
-        if len(dims) != 3:
-            raise SpecError(f"circconv2d needs H x W x D input, got {dims}")
         kh, kw, cin, cout = self.kernel.shape
         if dims[2] != cin:
             raise SpecError(f"circconv2d cin {cin} does not chain from input depth {dims[2]}")
@@ -245,35 +238,6 @@ class Pointwise:
 
     def input_grad(self, t, grad_out):
         return leaky_relu_backward(t, grad_out, self.alpha)
-
-
-@dataclass(frozen=True)
-class DenseLayer:
-    weight: np.ndarray
-
-    @classmethod
-    def from_seed(cls, rows, cols, seed):
-        return cls(RngStream(seed).normal([rows, cols], 1.0 / cols)[0])
-
-    def output_dims(self, dims):
-        size = int(np.prod(dims))
-        rows, cols = self.weight.shape
-        if size != cols:
-            raise SpecError(f"dense cols {cols} does not chain from input size {size}")
-        return (rows,)
-
-    def flops(self, dims):
-        return self.weight.size
-
-    def forward(self, t):
-        # one product per item, so an item's output does not depend on its batch
-        return dense_forward(self.weight, t.reshape(len(t), 1, -1))[:, 0]
-
-    def param_grad(self, t, grad_out):
-        return grad_out.T @ t.reshape(len(t), -1)
-
-    def input_grad(self, t, grad_out):
-        return (grad_out @ self.weight).reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -361,7 +325,7 @@ class BackboneSpec:
 # -------------------------------------------------------------- text format
 
 # values after the kind word on each line
-_ARITY = {"input": 3, "identity": 0, "circconv2d": 5, "pointwise": 2, "dense": 3}
+_ARITY = {"input": 3, "identity": 0, "circconv2d": 5, "pointwise": 2}
 
 
 def _integer(word: str, least: int = 1) -> int:
@@ -376,11 +340,11 @@ def parse_spec(text: str) -> BackboneSpec:
 
     First non-empty line: ``input H W D``; then one layer per line:
     ``circconv2d kh kw cin cout seed`` | ``pointwise leaky_relu alpha`` |
-    ``dense rows cols seed`` | ``identity``. Extents are positive integers,
-    seeds non-negative ones and alpha is finite; any other line is a
-    SpecError. A ``#`` starts a comment that runs to the end of its line,
-    and blank lines are skipped. Weights come deterministically from the
-    per-layer seeds. Shape errors surface here, not at call time.
+    ``identity``. Extents are positive integers, seeds non-negative ones
+    and alpha is finite; any other line is a SpecError. A ``#`` starts a
+    comment that runs to the end of its line, and blank lines are skipped.
+    Weights come deterministically from the per-layer seeds. Shape errors
+    surface here, not at call time.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -405,10 +369,9 @@ def parse_spec(text: str) -> BackboneSpec:
                 if not np.isfinite(alpha):
                     raise ValueError(f"alpha {args[1]} is not finite")
                 layers.append(Pointwise(alpha))
-            else:  # the extents, then the seed
-                layer = CircConv2d if kind == "circconv2d" else DenseLayer
+            else:  # circconv2d: the extents, then the seed
                 extents = (_integer(v) for v in args[:-1])
-                layers.append(layer.from_seed(*extents, _integer(args[-1], 0)))
+                layers.append(CircConv2d.from_seed(*extents, _integer(args[-1], 0)))
         except ValueError as err:
             raise SpecError(f"bad line {ln!r}: {err}") from err
     return BackboneSpec(input_dims, tuple(layers))

@@ -508,7 +508,7 @@ class WorkerServer:
         conn.sock.close()
 
 
-def worker_serve(spec: BackboneSpec, host: str = "127.0.0.1", port: int = 9741) -> None:
+def worker_serve(spec: BackboneSpec, host: str, port: int) -> None:
     """Blocking serve loop for the CLI; returns on KeyboardInterrupt."""
     server = WorkerServer(spec, host, port)
     log.info("worker listening on %s:%d", *server.address)
@@ -566,9 +566,10 @@ def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4) -> FlopRep
 
     Remote is k backbone passes. Local is one transform of x, then per replicate
     four transforms of every channel (secret, payload, reply, unbound reply) and
-    the head; bias adds and pointwise ops are not counted. ``dims`` must be the
-    spec's input extents.
+    the head; bias adds and pointwise ops are not counted. The spec must be
+    one a worker serves, as ``serve`` checks, and ``dims`` its input extents.
     """
+    _servable(spec)
     if k < 1:
         raise ParameterError(f"replicate count must be >= 1, got {k}")
     dims = tuple(dims)

@@ -44,6 +44,10 @@ MODEL_VERSION = 1
 # itself always trains on its full loss.
 REVERSAL_WEIGHT = 0.3
 
+LINEAR_ITERS = 600  # full-batch Adam steps of the linear-adversary demo
+LINEAR_LR = 0.1  # Adam step size of the linear-adversary demo
+LINEAR_L2 = 0.1  # L2 weight of the linear-adversary demo
+
 
 # ------------------------------------------------------------------- dataset
 
@@ -336,11 +340,11 @@ def train_toy_model(data: SynthDataset, cfg: TrainConfig):
     return model, metrics
 
 
-def evaluate(model: ToyModel, data: SynthDataset, mode: str,
-             rng: RngStream | None = None) -> float:
+def evaluate(model: ToyModel, data: SynthDataset, mode: str) -> float:
     """Test accuracy under one of the audit views.
 
-    with_secret: the full bind/backbone/unbind path with fresh secrets.
+    with_secret: the full bind/backbone/unbind path with fresh secrets, drawn
+    from a stream keyed by the dataset's seed.
     adversary_raw: the adversarial head reading the backbone output alone.
     plain: the prediction head on raw images (sanity baseline).
     """
@@ -348,8 +352,7 @@ def evaluate(model: ToyModel, data: SynthDataset, mode: str,
     n = x.shape[0]
     params = model.params
     if mode in ("with_secret", "adversary_raw"):
-        rng = rng or RngStream(data.seed, counter=3 << 32)
-        spectra, _ = draw_secret_spectra(n, data.dims, rng)
+        spectra, _ = draw_secret_spectra(n, data.dims, RngStream(data.seed, counter=3 << 32))
         r, _ = model.backbone.forward(batch_bind(x, spectra))
         if mode == "with_secret":
             u = batch_unbind(r, spectra)
@@ -365,15 +368,15 @@ def evaluate(model: ToyModel, data: SynthDataset, mode: str,
 
 # ------------------------------------------------------- linear demonstration
 
-def _train_linear_softmax(x_flat, labels, n_classes, iters=600, lr=0.1, l2=0.1):
+def _train_linear_softmax(x_flat, labels, n_classes):
     """Full-batch Adam on an L2-regularized multinomial logistic model."""
     params = {"w": np.zeros((n_classes, x_flat.shape[1])), "b": np.zeros(n_classes)}
     state = AdamState.zeros_like(params)
-    for _ in range(iters):
+    for _ in range(LINEAR_ITERS):
         w, b = params["w"], params["b"]
         dz = _logit_grad(softmax(x_flat @ w.T + b), labels)
-        grads = {"w": dz.T @ x_flat + l2 * w, "b": dz.sum(axis=0)}
-        params, state = adam_step(params, grads, state, lr)
+        grads = {"w": dz.T @ x_flat + LINEAR_L2 * w, "b": dz.sum(axis=0)}
+        params, state = adam_step(params, grads, state, LINEAR_LR)
     return params["w"], params["b"]
 
 

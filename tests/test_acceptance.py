@@ -23,10 +23,8 @@ from holobind.attacks import (
     secret_regression_attack,
 )
 from holobind.backbone import (
-    DenseLayer,
     circconv_backward,
     circconv_forward,
-    dense_forward,
     identity_spec,
     leaky_relu_backward,
     leaky_relu_forward,
@@ -44,6 +42,7 @@ from holobind.protocol import (
 )
 from holobind.tensor import RngStream, tensor_to_bytes
 from holobind.trainer import (
+    _head_backward,
     _head_forward,
     _logit_grad,
     backbone_applier,
@@ -213,20 +212,27 @@ def test_criterion_06_gradient_audit():
         lambda xf: float(np.sum(circconv_forward(kernel, xf.reshape(6, 6, 1)) * up)),
         x.reshape(-1), 20, g)
 
-    w = g.normal(size=(4, 9))
-    xv = g.normal(size=(9,))
-    upv = g.normal(size=(4,))
-    dense = DenseLayer(w)  # the layer's own gradients, on a batch of one
-    grad_w = dense.param_grad(xv[None], upv[None])
-    grad_in = dense.input_grad(xv[None], upv[None])[0]
-    worst["dense/weight"] = _max_rel_err(
-        grad_w.reshape(-1),
-        lambda wf: float(np.sum(dense_forward(wf.reshape(4, 9), xv) * upv)),
-        w.reshape(-1), 20, g)
-    worst["dense/input"] = _max_rel_err(
-        grad_in,
-        lambda v: float(np.sum(dense_forward(w, v) * upv)),
-        xv, 9, g)
+    # the prediction head's first dense map, as training runs it: its weight
+    # and its input gradient under the mean cross-entropy of a batch of three
+    head = {"p_w1": g.normal(size=(5, 9)), "p_b1": g.normal(size=(5,)),
+            "p_w2": g.normal(size=(4, 5)), "p_b2": g.normal(size=(4,))}
+    xh = g.normal(size=(3, 9))
+    head_labels = np.array([1, 3, 0])
+    probs, cache = _head_forward(head, "p", xh)
+    head_grads = {}
+    grad_xh = _head_backward(head, "p", cache, probs, head_labels, head_grads)
+
+    def head_loss(params, x_flat):
+        probs, _ = _head_forward(params, "p", x_flat)
+        return float(np.mean(-np.log(probs[np.arange(3), head_labels])))
+    worst["head/p_w1"] = _max_rel_err(
+        head_grads["p_w1"].reshape(-1),
+        lambda wf: head_loss({**head, "p_w1": wf.reshape(5, 9)}, xh),
+        head["p_w1"].reshape(-1), 20, g)
+    worst["head/input"] = _max_rel_err(
+        grad_xh.reshape(-1),
+        lambda v: head_loss(head, v.reshape(3, 9)),
+        xh.reshape(-1), 20, g)
 
     h = np.where(np.abs(g.normal(size=(25,))) < 0.05, 0.5, g.normal(size=(25,)))
     uph = g.normal(size=(25,))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -6,16 +7,15 @@ import numpy as np
 import pytest
 
 from holobind.backbone import (
+    _ARITY,
     FORWARD_BLOCK,
     BackboneSpec,
     CircConv2d,
-    DenseLayer,
     Identity,
     circconv_backward,
     circconv_forward,
     conv_chain,
     count_flops,
-    dense_forward,
     fft_flops,
     identity_spec,
     leaky_relu_backward,
@@ -248,30 +248,8 @@ def test_leaky_relu_backward_multiplies_by_one_or_alpha_and_zeroes_nan(alpha):
                           [0.0, 3.0])
 
 
-def test_dense_and_leaky_relu_gradients():
+def test_leaky_relu_gradients():
     g = np.random.default_rng(8)
-    w = g.normal(size=(4, 6))
-    x = g.normal(size=(6,))
-    up = g.normal(size=(4,))
-
-    dense = DenseLayer(w)  # the layer's own gradients, on a batch of one
-    grad_w = dense.param_grad(x[None], up[None])
-    grad_x = dense.input_grad(x[None], up[None])[0]
-
-    def loss_wrt_w(wf):
-        return float(np.sum(dense_forward(wf.reshape(4, 6), x) * up))
-
-    fd = central_difference_at(loss_wrt_w, w.reshape(-1), range(w.size))
-    for i, val in fd.items():
-        assert abs(grad_w.reshape(-1)[i] - val) <= 1e-6 * max(1.0, abs(val))
-
-    def loss_wrt_x(xf):
-        return float(np.sum(dense_forward(w, xf) * up))
-
-    fd = central_difference_at(loss_wrt_x, x, range(x.size))
-    for i, val in fd.items():
-        assert abs(grad_x[i] - val) <= 1e-6 * max(1.0, abs(val))
-
     y = g.normal(size=(10,)) + 0.1  # keep clear of the kink
     upl = g.normal(size=(10,))
     grad = leaky_relu_backward(y, upl, 0.1)
@@ -311,10 +289,24 @@ def test_commutation_rejects_nonlinear_spec():
 
 # ---------------------------------------------------------------------- spec
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_toy_spec_text():
     """The spec file README shows, the fenced block that starts '# the toy backbone'."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("```\n# the toy backbone\n", 1)[1].split("```", 1)[0]
+    return _readme().split("```\n# the toy backbone\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_lists_every_layer_kind_with_its_words():
+    # the spec paragraph's list, up to the example's fence, names each kind
+    # parse_spec reads, with as many words after the kind as it takes
+    paragraph = _readme().split("A backbone spec file", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in re.findall(r"^- `([^`]+)`", paragraph, flags=re.M):
+        kind, *words = line.split()
+        listed[kind] = len(words)
+    assert listed == {kind: n for kind, n in _ARITY.items() if kind != "input"}
 
 
 def test_readme_spec_parses_to_toy_fw_spec():
@@ -341,13 +333,15 @@ def test_spec_shape_chain_validated_at_load():
         parse_spec("circconv2d 3 3 1 1 7\n")
     with pytest.raises(SpecError):
         parse_spec("input 8 8 1\nwarp 1 2\n")
+    with pytest.raises(SpecError, match="unknown layer kind 'dense'"):
+        parse_spec("input 4 4 1\ndense 10 16 3\n")
     # a field that is not a positive integer (a seed may be 0), a line with
     # too many or too few words, and a non-finite alpha
     for line in ["input 16 a 1", "input 16 16 0", "input 16 16 1 2",
                  "input 16 16 1\ncircconv2d 3 3 0 16 1", "input 16 16 1\ncircconv2d 0 3 1 1 1",
                  "input 16 16 1\ncircconv2d 3 3 1 1 -1", "input 16 16 1\ncircconv2d 3 3 1 1",
-                 "input 16 16 1\ncircconv2d 3 3 1 1 1 extra", "input 16 16 1\ndense 4 0 1",
-                 "input 16 16 1\ndense 4 256 1.5", "input 16 16 1\npointwise leaky_relu",
+                 "input 16 16 1\ncircconv2d 3 3 1 1 1 extra",
+                 "input 16 16 1\ncircconv2d 3 3 1 1 1.5", "input 16 16 1\npointwise leaky_relu",
                  "input 16 16 1\npointwise leaky_relu inf",
                  "input 16 16 1\npointwise leaky_relu nan", "input 16 16 1\nidentity 1",
                  "input 16 16 1\ninput 16 16 1"]:
@@ -366,22 +360,13 @@ def test_spec_apply_rejects_wrong_input_dims():
         spec(np.zeros((8, 8, 1)))
 
 
-def test_dense_layer_output_dims():
-    spec = parse_spec("input 4 4 1\ndense 10 16 3\n")
-    assert spec.output_dims == (10,)
-    assert not spec.shape_preserving
-    out = spec(np.ones((4, 4, 1)))
-    assert out.shape == (10,)
-
-
 # Every layer kind: identity; circconv2d with Cin below, equal to and above
-# Cout, and pointwise (the toy stack on two channels); dense.
+# Cout, and pointwise (the toy stack on two channels).
 LAYER_KIND_SPECS = {
     "identity": "input 4 4 2\nidentity\n",
     "conv_pointwise": ("input 4 4 2\ncircconv2d 3 3 2 16 100\npointwise leaky_relu 0.1\n"
                        "circconv2d 3 3 16 16 101\npointwise leaky_relu 0.1\n"
                        "circconv2d 3 3 16 2 102\n"),
-    "dense": "input 4 4 2\ndense 6 32 3\n",
 }
 
 
@@ -492,22 +477,21 @@ def test_spec_forward_rejects_wrong_item_dims():
 
 def test_spec_backward_matches_finite_differences():
     spec = parse_spec("input 3 3 2\ncircconv2d 3 3 2 3 5\npointwise leaky_relu 0.1\n"
-                      "circconv2d 3 3 3 2 6\nidentity\ndense 4 18 7\n")
+                      "circconv2d 3 3 3 2 6\nidentity\n")
     g = np.random.default_rng(14)
     batch = g.normal(size=(2, 3, 3, 2))
-    up = g.normal(size=(2, 4))
+    up = g.normal(size=(2, 3, 3, 2))
     _, inputs = spec.forward(batch, keep_inputs=True)
     grads = spec.backward(inputs, up)
-    assert [grad is None for grad in grads] == [False, True, False, True, False]
+    assert [grad is None for grad in grads] == [False, True, False, True]
     for i, layer in enumerate(spec.layers):
         if grads[i] is None:
             continue
-        name = "kernel" if isinstance(layer, CircConv2d) else "weight"
-        weight = getattr(layer, name)
+        weight = layer.kernel
 
         def loss(flat):
             layers = list(spec.layers)
-            layers[i] = replace(layer, **{name: flat.reshape(weight.shape)})
+            layers[i] = replace(layer, kernel=flat.reshape(weight.shape))
             out, _ = BackboneSpec(spec.input_dims, tuple(layers)).forward(batch)
             return float(np.sum(out * up))
 
@@ -541,11 +525,6 @@ def test_flops_identity_zero():
     assert count_flops(identity_spec((16, 16, 1))) == 0
 
 
-def test_flops_dense():
-    spec = parse_spec("input 10 10 1\ndense 10 100 1\n")
-    assert count_flops(spec) == 1000
-
-
 def test_flops_toy_fw():
     spec = toy_fw_spec()
     expected = 256 * 9 * 1 * 16 + 256 * 9 * 16 * 16 + 256 * 9 * 16 * 1
@@ -554,12 +533,12 @@ def test_flops_toy_fw():
 
 def test_count_flops_sums_each_layers_flops():
     spec = parse_spec("input 3 3 2\ncircconv2d 3 3 2 3 5\npointwise leaky_relu 0.1\n"
-                      "circconv2d 3 3 3 2 6\nidentity\ndense 4 18 7\n")
+                      "circconv2d 3 3 3 2 6\nidentity\n")
     dims, per_layer = spec.input_dims, []
     for layer in spec.layers:
         per_layer.append(layer.flops(dims))
         dims = layer.output_dims(dims)
-    assert per_layer == [9 * 9 * 2 * 3, 0, 9 * 9 * 3 * 2, 0, 4 * 18]
+    assert per_layer == [9 * 9 * 2 * 3, 0, 9 * 9 * 3 * 2, 0]
     assert count_flops(spec) == sum(per_layer)
 
 

@@ -285,6 +285,28 @@ def test_bench_dims_that_differ_from_the_spec_input_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_refuses_a_spec_the_worker_refuses(tmp_path, capsys):
+    # the reply would be 4x4x2, which bench would count as a 4x4x1 one
+    spec_path = tmp_path / "depth.spec"
+    spec_path.write_text("input 4 4 1\ncircconv2d 3 3 1 2 1\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--spec", str(spec_path), "--dims", "4x4x1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(4, 4, 2)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["serve", "--listen", "127.0.0.1:0"],
+                                     ["bench", "--dims", "4x4x1", "--out", "bench.csv"]])
+def test_a_dense_line_is_an_unknown_layer_kind(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    spec_path = tmp_path / "dense.spec"
+    spec_path.write_text("input 4 4 1\ndense 10 16 3\n")
+    assert main(command[:1] + ["--spec", str(spec_path)] + command[1:]) == 1
+    assert capsys.readouterr().err == "error: unknown layer kind 'dense'\n"
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_bench_malformed_spec_file_exits_1_without_a_traceback(tmp_path):
     spec_path = tmp_path / "bad.spec"
     out = tmp_path / "bench.csv"
@@ -434,11 +456,11 @@ def test_serve_model_exits_0_on_sigint_with_a_client_connected(tmp_path):
 
 def test_serve_refuses_shape_changing_spec(tmp_path):
     # the worker must refuse before it listens; serving would block forever
-    spec_path = tmp_path / "dense.spec"
-    spec_path.write_text("input 4 4 1\ndense 10 16 3\n")
+    spec_path = tmp_path / "depth.spec"
+    spec_path.write_text("input 4 4 1\ncircconv2d 3 3 1 2 3\n")
     proc = subprocess.run(
         [sys.executable, "-m", "holobind.cli", "serve", "--spec", str(spec_path),
          "--listen", "127.0.0.1:0"],
         capture_output=True, text=True, timeout=30, env=_cli_env())
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "(10,)" in proc.stderr
+    assert proc.stderr.startswith("error:") and "(4, 4, 2)" in proc.stderr

@@ -297,11 +297,13 @@ def test_batch_replies_equal_the_single_request_handler():
 # ------------------------------------------------------------------ loopback
 
 @pytest.mark.parametrize("entry", [LoopbackTransport, WorkerServer])
-@pytest.mark.parametrize("spec", [lambda t: t, parse_spec("input 4 4 1\ndense 10 16 3\n")],
+@pytest.mark.parametrize("spec", [lambda t: t, parse_spec("input 4 4 1\ncircconv2d 3 3 1 2 3\n")],
                          ids=["callable", "shape_changing"])
 def test_loopback_and_worker_refuse_the_same_specs(entry, spec):
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as err:
         entry(spec)
+    if isinstance(spec, BackboneSpec):
+        assert "(4, 4, 2)" in str(err.value)
 
 def test_loopback_end_to_end_identity_matches_local():
     model = init_toy_model(3)
@@ -901,6 +903,12 @@ def test_cost_report_toy_fw_split():
     assert report.local_flops == (1 + 4) * 5 * 256 * 8 + (64 * 256 + 4 * 64)
     assert report.remote_fraction >= 0.65
     assert report.bytes_up == report.bytes_down == 1060
+
+
+def test_cost_report_refuses_a_spec_the_worker_refuses():
+    # the reply would be 4x4x2, which the client cannot unbind with a 4x4x1 secret
+    with pytest.raises(SpecError, match=r"\(4, 4, 2\)"):
+        cost_report(parse_spec("input 4 4 1\ncircconv2d 3 3 1 2 1\n"), (4, 4, 1), k=1)
 
 
 def test_cost_report_refuses_dims_other_than_the_spec_input():
