@@ -245,16 +245,19 @@ def operator_apply(op: str, x: np.ndarray, s, undo: bool = False, dims=None) -> 
 
 # ------------------------------------------------------------------ ablation
 
-def ablation_rows(seed: int = 0, side: int = 16) -> list[dict]:
+ABLATION_SIDE = 16  # extent of the ablation's square image
+
+
+def ablation_rows(seed: int) -> list[dict]:
     """Bind/retrieve one image under every operator; rows ready for CSV.
 
     reconstruction_cosine compares the retrieved image with the original;
     bound_input_cosine shows how little the bound tensor resembles it.
     """
     rng = RngStream(seed)
-    img, rng = rng.normal((side, side), 1.0)
+    img, rng = rng.normal((ABLATION_SIDE, ABLATION_SIDE), 1.0)
     img /= np.linalg.norm(img)
-    noise, rng = rng.normal((side, side), 0.09)
+    noise, rng = rng.normal((ABLATION_SIDE, ABLATION_SIDE), 0.09)
     img = img + noise
     rows = []
     for op in OPERATORS:

@@ -382,10 +382,6 @@ def load_spec(path) -> BackboneSpec:
         return parse_spec(fh.read())
 
 
-def identity_spec(dims) -> BackboneSpec:
-    return BackboneSpec(tuple(dims), (Identity(),))
-
-
 def conv_chain(dims, convs) -> BackboneSpec:
     """CircConv2d layers with a leaky-relu (LEAKY_ALPHA) between each two."""
     layers = [convs[0]]

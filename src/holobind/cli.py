@@ -66,8 +66,7 @@ def _write_csv(path, fieldnames, rows):
 def _cmd_gen_secret(args):
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
-    op = "hrr2d" if args.op == "hrr" else args.op
-    key, _ = altbind.operator_secret(op, dims, RngStream(seed))
+    key, _ = altbind.operator_secret(args.op, dims, RngStream(seed))
     write_tensor(key, args.out)
     return 0
 
@@ -99,10 +98,8 @@ def _cmd_serve(args):
     host, port = _parse_endpoint(args.listen)
     if args.model:
         spec = trainer.load_model(args.model).backbone
-    elif args.spec:
-        spec = backbone.load_spec(args.spec)
     else:
-        raise ParameterError("serve needs --spec or --model")
+        spec = backbone.load_spec(args.spec)
     protocol.worker_serve(spec, host, port)
     return 0
 
@@ -122,8 +119,7 @@ def _cmd_query(args):
 
 def _cmd_bench(args):
     spec = backbone.load_spec(args.spec)
-    dims = _parse_dims(args.dims)
-    report = protocol.cost_report(spec, dims, args.k)
+    report = protocol.cost_report(spec, spec.input_dims, args.k)
     rows = [{
         "remote_flops": report.remote_flops,
         "local_flops": report.local_flops,
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-secret", _cmd_gen_secret, "sample a fresh secret tensor")
     p.add_argument("--dims", required=True, help="extents, e.g. 16x16x1 or 256")
     p.add_argument("--out", required=True)
-    p.add_argument("--op", choices=("hrr",) + altbind.OPERATORS, default="hrr")
+    p.add_argument("--op", choices=altbind.OPERATORS, default="hrr2d")
 
     for name in ("bind", "unbind"):
         p = add(name, _cmd_bind_or_unbind, f"{name} a tensor file with a secret file")
@@ -238,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = add("serve", _cmd_serve, "run the worker until interrupted")
-    p.add_argument("--spec", default=None, help="backbone spec file")
-    p.add_argument("--model", default=None, help="serve a trained model backbone")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="backbone spec file")
+    source.add_argument("--model", help="serve a trained model backbone")
     p.add_argument("--listen", default="127.0.0.1:9741")
 
     p = add("query", _cmd_query, "one prediction via the remote worker")
@@ -251,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bench", _cmd_bench, "remote/local compute split for a spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--dims", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--out", default="-")
 

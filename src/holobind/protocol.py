@@ -31,7 +31,7 @@ from .errors import (
     TransportError,
 )
 from .tensor import RngStream, container_size, tensor_from_bytes, tensor_to_bytes
-from .trainer import _HIDDEN
+from .trainer import _HIDDEN, N_CLASSES
 from .vsa import from_spectrum, sample_secret_spectra, spectrum
 from .vsa import bind, sample_secret, unbind  # unused here; perfbench wraps them
 
@@ -561,7 +561,7 @@ def client_infer(x: np.ndarray, plan: QueryPlan, model) -> np.ndarray:
 
 # ------------------------------------------------------------ cost accounting
 
-def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4) -> FlopReport:
+def cost_report(spec: BackboneSpec, dims, k: int) -> FlopReport:
     """Remote/local multiply-add split and traffic for k replicates of ``dims`` inputs.
 
     Remote is k backbone passes. Local is one transform of x, then per replicate
@@ -576,7 +576,7 @@ def cost_report(spec: BackboneSpec, dims, k: int, n_classes: int = 4) -> FlopRep
     if dims != spec.input_dims:
         raise ShapeError(f"dims {dims} != spec input {spec.input_dims}")
     h, w, depth = dims
-    head_flops = _HIDDEN * h * w * depth + n_classes * _HIDDEN
+    head_flops = _HIDDEN * h * w * depth + N_CLASSES * _HIDDEN
     remote = k * count_flops(spec)
     one_transform = depth * fft_flops(h * w)  # one 2D transform of every channel
     local = (1 + 4 * k) * one_transform + k * head_flops

@@ -156,9 +156,9 @@ def container_size(dims, dtype: str = "f64") -> int:
     return 4 + 1 + 1 + 4 * len(tuple(dims)) + count * _DTYPES[code].itemsize
 
 
-def write_tensor(t: np.ndarray, path, dtype: str = "f64") -> None:
-    """Write a tensor container to ``path``."""
-    data = tensor_to_bytes(t, dtype)
+def write_tensor(t: np.ndarray, path) -> None:
+    """Write a float64 tensor container to ``path``."""
+    data = tensor_to_bytes(t)
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -44,6 +44,8 @@ MODEL_VERSION = 1
 # itself always trains on its full loss.
 REVERSAL_WEIGHT = 0.3
 
+N_CLASSES = 4  # classes of the committed toy task
+
 LINEAR_ITERS = 600  # full-batch Adam steps of the linear-adversary demo
 LINEAR_LR = 0.1  # Adam step size of the linear-adversary demo
 LINEAR_L2 = 0.1  # L2 weight of the linear-adversary demo
@@ -69,7 +71,7 @@ class SynthDataset:
         return self.train_images.shape[1:]
 
 
-def synth_dataset(seed: int, n_classes: int = 4, n_train: int = 1024,
+def synth_dataset(seed: int, n_classes: int = N_CLASSES, n_train: int = 1024,
                   n_test: int = 256, noise_sigma: float = 0.3,
                   dims=(16, 16, 1)) -> SynthDataset:
     """Generate the committed toy classification task."""
@@ -156,7 +158,7 @@ def _param_shapes(n_classes: int, dims) -> dict:
     return shapes
 
 
-def init_toy_model(seed: int, n_classes: int = 4, dims=(16, 16, 1)) -> ToyModel:
+def init_toy_model(seed: int, n_classes: int = N_CLASSES, dims=(16, 16, 1)) -> ToyModel:
     """Fan-in scaled Gaussian weights, drawn in ``_PARAM_NAMES`` order, zero biases."""
     rng = RngStream(seed)
     params = {}
@@ -346,23 +348,17 @@ def evaluate(model: ToyModel, data: SynthDataset, mode: str) -> float:
     with_secret: the full bind/backbone/unbind path with fresh secrets, drawn
     from a stream keyed by the dataset's seed.
     adversary_raw: the adversarial head reading the backbone output alone.
-    plain: the prediction head on raw images (sanity baseline).
     """
+    if mode not in ("with_secret", "adversary_raw"):
+        raise ParameterError(f"unknown evaluate mode {mode!r}")
     x, y = data.test_images, data.test_labels
     n = x.shape[0]
-    params = model.params
-    if mode in ("with_secret", "adversary_raw"):
-        spectra, _ = draw_secret_spectra(n, data.dims, RngStream(data.seed, counter=3 << 32))
-        r, _ = model.backbone.forward(batch_bind(x, spectra))
-        if mode == "with_secret":
-            u = batch_unbind(r, spectra)
-            probs, _ = _head_forward(params, "p", u.reshape(n, -1))
-        else:
-            probs, _ = _head_forward(params, "a", r.reshape(n, -1))
-    elif mode == "plain":
-        probs, _ = _head_forward(params, "p", x.reshape(n, -1))
+    spectra, _ = draw_secret_spectra(n, data.dims, RngStream(data.seed, counter=3 << 32))
+    r, _ = model.backbone.forward(batch_bind(x, spectra))
+    if mode == "with_secret":
+        probs, _ = _head_forward(model.params, "p", batch_unbind(r, spectra).reshape(n, -1))
     else:
-        raise ParameterError(f"unknown evaluate mode {mode!r}")
+        probs, _ = _head_forward(model.params, "a", r.reshape(n, -1))
     return float(np.mean(np.argmax(probs, axis=1) == y))
 
 
@@ -380,7 +376,7 @@ def _train_linear_softmax(x_flat, labels, n_classes):
     return params["w"], params["b"]
 
 
-def linear_adversary_demo(data: SynthDataset, seed: int, mode: str = "fresh") -> float:
+def linear_adversary_demo(data: SynthDataset, seed: int, mode: str) -> float:
     """Test accuracy of a linear classifier against the binding defense.
 
     fresh: per-example secrets on train and test (the defended setting).

@@ -262,8 +262,8 @@ def _probe_dims(d: int):
     return (d,)
 
 
-def probe_curves(d: int = 1024, ks=(1, 2, 4, 8, 16, 32), n_seeds: int = 100,
-                 seed: int = 0, modes=("projected", "naive")) -> list[dict]:
+def probe_curves(d: int, ks, n_seeds: int, seed: int,
+                 modes=("projected", "naive")) -> list[dict]:
     """Monte-Carlo present/absent retrieval curves over bundle sizes.
 
     For each seed and bundle size k, binds k random pairs, then probes one

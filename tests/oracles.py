@@ -7,8 +7,8 @@ replacements (the roll kernel, the per-replicate client, the hard-wired
 toy backbone, the two-pass Frechet gradient, the transform-based inversion
 objective and its spectrum-domain descent, the per-item probe, the
 per-channel Hilbert route and the ablation's own operator dispatch), which
-are written on the public ops, and the contract that a linear circconv
-chain commutes with binding.
+are written on the public ops, the contract that a linear circconv
+chain commutes with binding, and the identity backbone.
 """
 
 import numpy as np
@@ -241,6 +241,11 @@ def reference_kernel_grad_magnitudes(params, cache, grad_r, alpha=0.1):
     gh1 = leaky_relu_backward(h1, circconv_backward(params["conv2"], a1, gh2)[1], alpha)
     gk1 = circconv_backward(params["conv1"], np.abs(xb), np.abs(gh1))[0]
     return gk1, gk2, gk3
+
+
+def identity_spec(dims) -> BackboneSpec:
+    """A one-layer backbone that returns its input."""
+    return BackboneSpec(tuple(dims), (Identity(),))
 
 
 def linear_circconv_spec(dims, n_layers: int = 1, seed: int = 200) -> BackboneSpec:

@@ -25,7 +25,6 @@ from holobind.attacks import (
 from holobind.backbone import (
     circconv_backward,
     circconv_forward,
-    identity_spec,
     leaky_relu_backward,
     leaky_relu_forward,
     toy_fw_spec,
@@ -64,7 +63,7 @@ from holobind.vsa import (
     unbind,
 )
 
-from oracles import central_difference_at, circulant_matrix, direct_circconv2d
+from oracles import central_difference_at, circulant_matrix, direct_circconv2d, identity_spec
 
 # Committed calibration thresholds; the acceptance bar subtracts the stated
 # platform allowance where the criterion provides one.

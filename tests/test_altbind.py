@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from holobind import altbind
 from holobind.altbind import (
     OPERATORS,
     VtbSecret,
@@ -248,8 +249,9 @@ def test_hilbert_unbind_keeps_the_near_singular_refusal():
 
 @pytest.mark.parametrize("seed, side", [(seed, 16) for seed in range(20)]
                          + [(2, 4), (2, 8), (2, 32)])
-def test_ablation_rows_equal_the_five_way_dispatch(seed, side):
-    assert ablation_rows(seed, side) == five_way_ablation_rows(seed, side)
+def test_ablation_rows_equal_the_five_way_dispatch(monkeypatch, seed, side):
+    monkeypatch.setattr(altbind, "ABLATION_SIDE", side)
+    assert ablation_rows(seed) == five_way_ablation_rows(seed, side)
 
 
 @pytest.mark.parametrize("op", OPERATORS)

@@ -17,7 +17,6 @@ from holobind.backbone import (
     conv_chain,
     count_flops,
     fft_flops,
-    identity_spec,
     leaky_relu_backward,
     leaky_relu_forward,
     parse_spec,
@@ -33,6 +32,7 @@ from oracles import (
     blocked_reference_backbone_backward,
     central_difference_at,
     direct_circ_crosscorr2d,
+    identity_spec,
     linear_circconv_commutation_check,
     linear_circconv_spec,
     reference_backbone_backward,

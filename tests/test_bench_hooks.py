@@ -4,15 +4,18 @@
 ``trainer._head_forward`` through ``setattr``; a refactor that drops or
 renames one makes ``run.py --trace 1`` fail with an AttributeError. These
 tests install every hook on a fresh tracer, so such a refactor fails here.
+One more binds every call that ``perfbench/`` makes into holobind to the
+current signature of its callee.
 """
 
+import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 from holobind import trainer
-from holobind.backbone import identity_spec
 from holobind.protocol import (
     LoopbackTransport,
     QueryPlan,
@@ -25,6 +28,8 @@ from holobind.protocol import (
 )
 from holobind.tensor import RngStream
 from holobind.trainer import init_toy_model
+
+from oracles import identity_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -103,3 +108,50 @@ def test_worker_hooks_install_restore_and_trace_the_model_backbone(monkeypatch):
         "backbone_applier", "circconv_forward", "leaky_relu_forward"}
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def _holobind_calls(tree):
+    """(line, name, callee, call) for each call in ``tree`` to a name imported from holobind."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("holobind"):
+            owner = importlib.import_module(node.module)
+            for alias in node.names:  # a submodule such as cli may not be imported yet
+                names[alias.asname or alias.name] = getattr(owner, alias.name, None) or \
+                    importlib.import_module(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            yield node.lineno, func.id, names[func.id], node
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and inspect.ismodule(names.get(func.value.id))):
+            module = names[func.value.id]
+            callee = getattr(module, func.attr, None)
+            yield node.lineno, f"{func.value.id}.{func.attr}", callee, node
+
+
+def test_every_benchmark_call_binds_to_the_current_signature():
+    # A call that passes an argument a function no longer takes, or misses
+    # one it now needs, would fail only when the benchmark runs. A * or **
+    # splat is skipped, so a call holding one is bound partially.
+    faults, checked = [], set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for line, name, callee, call in _holobind_calls(ast.parse(path.read_text())):
+            where = f"{path.name}:{line} {name}"
+            if callee is None:
+                faults.append(f"{where}: no such name")
+                continue
+            args = [object() for a in call.args if not isinstance(a, ast.Starred)]
+            kwargs = {k.arg: object() for k in call.keywords if k.arg is not None}
+            partial = len(args) < len(call.args) or len(kwargs) < len(call.keywords)
+            sig = inspect.signature(callee)
+            try:
+                (sig.bind_partial if partial else sig.bind)(*args, **kwargs)
+            except TypeError as err:
+                faults.append(f"{where}: {err}")
+            checked.add(name)
+    assert not faults, "\n".join(faults)
+    assert {"attacks.strong_adversary", "attacks.clustering_attack", "protocol.cost_report",
+            "attacks.build_reference", "vsa.probe_curves"} <= checked

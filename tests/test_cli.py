@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import holobind
+from holobind import protocol
 from holobind.altbind import operator_secret
 from holobind.cli import main
 from holobind.tensor import RngStream, read_tensor, write_tensor
@@ -56,7 +57,7 @@ def test_alternative_operators_round_trip(tmp_path, op, shape):
     x_path, s_path = tmp_path / "x.hbt", tmp_path / "s.hbt"
     b_path, out_path = tmp_path / "b.hbt", tmp_path / "rec.hbt"
     write_tensor(x, x_path)
-    gen_op = {"hrr1d": "hrr", "hilbert": "hrr"}.get(op, op)
+    gen_op = {"hrr1d": "hrr2d", "hilbert": "hrr2d"}.get(op, op)
     assert main(["gen-secret", "--dims", "256", "--seed", "3", "--out", str(s_path),
                  "--op", gen_op]) == 0
     assert main(["bind", "--in", str(x_path), "--secret", str(s_path),
@@ -72,14 +73,15 @@ def test_alternative_operators_round_trip(tmp_path, op, shape):
         assert np.max(np.abs(recovered - x)) <= 1e-9
 
 
-@pytest.mark.parametrize("op, dims", [("hrr", "16x16x1"), ("hrr", "256"), ("vtb", "16x16"),
-                                      ("ivtb", "256"), ("hrr2d", "8x8"), ("hrr1d", "4x4"),
-                                      ("hilbert", "28x28")])
+@pytest.mark.parametrize("op, dims", [("default", "16x16x1"), ("default", "256"),
+                                      ("vtb", "16x16"), ("ivtb", "256"), ("hrr2d", "8x8"),
+                                      ("hrr1d", "4x4"), ("hilbert", "28x28")])
 def test_gen_secret_writes_the_operator_secret(tmp_path, op, dims):
     out = tmp_path / "s.hbt"
-    assert main(["gen-secret", "--dims", dims, "--seed", "8", "--op", op, "--out", str(out)]) == 0
+    flags = [] if op == "default" else ["--op", op]
+    assert main(["gen-secret", "--dims", dims, "--seed", "8", "--out", str(out)] + flags) == 0
     extents = tuple(int(e) for e in dims.split("x"))
-    key, _ = operator_secret("hrr2d" if op == "hrr" else op, extents, RngStream(8))
+    key, _ = operator_secret("hrr2d" if op == "default" else op, extents, RngStream(8))
     written = read_tensor(out)
     assert written.shape == key.shape and np.array_equal(written, key)
 
@@ -150,6 +152,23 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["transmogrify"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--spec", "{tmp}/id.spec", "--dims", "16x16x1"],
+    ["gen-secret", "--dims", "8x8", "--op", "hrr", "--out", "{tmp}/s.hbt"],
+    ["serve", "--spec", "{tmp}/id.spec", "--model", "{tmp}/toy.model"],
+    ["serve"],
+], ids=["bench_dims", "gen_secret_op_hrr", "serve_spec_and_model", "serve_neither"])
+def test_removed_or_conflicting_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "id.spec").write_text("input 16 16 1\nidentity\n")
+    save_model(init_toy_model(6), tmp_path / "toy.model")
+    # a serve that got past the parser would block, so it fails the test instead
+    monkeypatch.setattr(protocol, "worker_serve", lambda *args: pytest.fail("served"))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: holobind" in err
+    assert not (tmp_path / "s.hbt").exists()
+
+
 def test_domain_error_exit_code(tmp_path):
     x_path = tmp_path / "x.hbt"
     s_path = tmp_path / "s.hbt"
@@ -199,7 +218,7 @@ def test_missing_input_file_exits_1(tmp_path, capsys, option):
     ["probe", "--kmax", "0"],
     ["probe", "--kmax", "-3"],
     ["probe", "--d", "4", "--seeds", "1", "--kmax", "2048"],
-    ["bench", "--spec", "{spec}", "--dims", "16x16x1", "--k", "0"],
+    ["bench", "--spec", "{spec}", "--k", "0"],
 ], ids=["negative_dims", "port_not_a_number", "port_too_large", "probe_d_0",
         "probe_d_negative", "probe_no_seeds", "probe_kmax_0", "probe_kmax_negative",
         "probe_kmax_2048", "bench_k_0"])
@@ -265,24 +284,11 @@ def test_bench_csv(tmp_path):
         "circconv2d 3 3 16 1 102\n"
     )
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--spec", str(spec_path), "--dims", "16x16x1",
-                 "--k", "1", "--out", str(out)]) == 0
+    assert main(["bench", "--spec", str(spec_path), "--k", "1", "--out", str(out)]) == 0
     (row,) = _read_csv(out)
     assert int(row["remote_flops"]) == 663_552
     assert float(row["remote_fraction"]) >= 0.65
     assert int(row["bytes_up"]) == 1060
-
-
-def test_bench_dims_that_differ_from_the_spec_input_exit_1(tmp_path, capsys):
-    spec_path = tmp_path / "toy.spec"
-    spec_path.write_text("input 16 16 1\ncircconv2d 3 3 1 16 100\n"
-                         "pointwise leaky_relu 0.1\ncircconv2d 3 3 16 1 101\n")
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--spec", str(spec_path), "--dims", "64x64x3", "--k", "1",
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: dims (64, 64, 3) != spec input (16, 16, 1)\n"
-    assert not out.exists()
 
 
 def test_bench_refuses_a_spec_the_worker_refuses(tmp_path, capsys):
@@ -290,14 +296,14 @@ def test_bench_refuses_a_spec_the_worker_refuses(tmp_path, capsys):
     spec_path = tmp_path / "depth.spec"
     spec_path.write_text("input 4 4 1\ncircconv2d 3 3 1 2 1\n")
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--spec", str(spec_path), "--dims", "4x4x1", "--out", str(out)]) == 1
+    assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "(4, 4, 2)" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["serve", "--listen", "127.0.0.1:0"],
-                                     ["bench", "--dims", "4x4x1", "--out", "bench.csv"]])
+                                     ["bench", "--out", "bench.csv"]])
 def test_a_dense_line_is_an_unknown_layer_kind(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     spec_path = tmp_path / "dense.spec"
@@ -317,7 +323,7 @@ def test_bench_malformed_spec_file_exits_1_without_a_traceback(tmp_path):
         spec_path.write_text(text + "\n")
         proc = subprocess.run(
             [sys.executable, "-m", "holobind.cli", "bench", "--spec", str(spec_path),
-             "--dims", "16x16x1", "--out", str(out)],
+             "--out", str(out)],
             capture_output=True, text=True, timeout=30, env=_cli_env())
         assert proc.returncode == 1, body
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, body

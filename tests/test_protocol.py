@@ -15,7 +15,6 @@ from holobind.backbone import (
     FORWARD_BLOCK,
     BackboneSpec,
     CircConv2d,
-    identity_spec,
     parse_spec,
     toy_fw_spec,
 )
@@ -56,7 +55,7 @@ from holobind.tensor import RngStream, tensor_to_bytes
 from holobind.trainer import _head_forward, backbone_applier, init_toy_model
 from holobind.vsa import sample_secret, unbind
 
-from oracles import per_replicate_client_infer
+from oracles import identity_spec, per_replicate_client_infer
 
 
 def _f32(arr):
