@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 
@@ -21,12 +22,21 @@ from .errors import HolobindError, ParameterError
 from .tensor import RngStream, read_tensor, write_tensor
 
 DEFAULT_DATA_SEED = 2  # committed synthetic-dataset seed
+_MAX_EXTENT = 0xFFFFFFFF  # a tensor container stores each extent as a u32
+_MAX_F64_VALUES = np.iinfo(np.intp).max // 8  # the most float64 values numpy can index
+
+
+def _check_f64_values(count: int, what: str) -> None:
+    if count > _MAX_F64_VALUES:
+        raise ParameterError(f"bad {what}: {count} float64 values are more than numpy can index")
 
 
 def _parse_dims(text: str) -> tuple:
     dims = tuple(int(p) if p.isascii() and p.isdigit() else 0 for p in text.lower().split("x"))
-    if min(dims) < 1:
-        raise ParameterError(f"bad dims {text!r}, expected positive extents like 16x16x1")
+    if min(dims) < 1 or max(dims) > _MAX_EXTENT:
+        raise ParameterError(f"bad dims {text!r}, expected extents from 1 to {_MAX_EXTENT} "
+                             "like 16x16x1")
+    _check_f64_values(math.prod(dims), f"dims {text!r}")
     return dims
 
 
@@ -88,6 +98,8 @@ def _cmd_probe(args):
         ks.append(k)
         k *= 2
     modes = ("projected", "naive") if args.mode == "both" else (args.mode,)
+    # the probe draws the pairs of every seed at once: 2 x seeds x d values
+    _check_f64_values(2 * args.seeds * args.d, f"--d {args.d} with --seeds {args.seeds}")
     rows = vsa.probe_curves(d=args.d, ks=ks, n_seeds=args.seeds, seed=seed, modes=modes)
     _write_csv(args.out, ["k", "mode", "present_mean", "absent_mean",
                           "present_std", "absent_std"], rows)
@@ -280,7 +292,7 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     try:
         return args.func(args)
-    except (HolobindError, OSError) as err:
+    except (HolobindError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -281,9 +281,6 @@ class TranscriptRecorder(Transport):
         return b"".join(self.sent) + b"".join(self.received)
 
 
-# Frames larger than this are treated as protocol abuse, not payloads.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
 # A connection is closed when it has sent nothing for this long, or when its
 # current frame has been incomplete for this long.
 IDLE_TIMEOUT_S = 30.0
@@ -301,7 +298,7 @@ _LISTEN_BACKLOG = 128
 _RECV_BYTES = 1 << 16
 
 
-def _read_frame(rfile, limit: int = MAX_FRAME_BYTES) -> bytes:
+def _read_frame(rfile, limit: int) -> bytes:
     """Read one length-prefixed frame of at most ``limit`` bytes from a buffered binary file."""
     header = rfile.read(4)
     if len(header) < 4:
@@ -335,8 +332,9 @@ class _Connection:
         self.since = now
         self.events = selectors.EVENT_READ
 
-    def receive(self, now: float) -> bool:
-        """Read what has arrived and split off whole frames; False to close."""
+    def receive(self, now: float, limit: int) -> bool:
+        """Read what has arrived and split off whole frames; False to close,
+        as at a frame announced as longer than ``limit`` bytes."""
         try:
             data = self.sock.recv(_RECV_BYTES)
         except BlockingIOError:
@@ -351,9 +349,8 @@ class _Connection:
         pos = 0
         while len(buf) - pos >= 4:
             length = int.from_bytes(buf[pos:pos + 4], "little")
-            if length > MAX_FRAME_BYTES:
-                log.warning("frame of %d bytes exceeds the %d cap; closing", length,
-                            MAX_FRAME_BYTES)
+            if length > limit:
+                log.warning("frame of %d bytes exceeds the %d cap; closing", length, limit)
                 return False
             if len(buf) - pos - 4 < length:
                 break
@@ -386,11 +383,14 @@ class WorkerServer:
     time, through one ``handle_request_batch``. Each connection's replies go
     out in request order with one send. A connection whose replies are not
     all sent is neither read nor given more work until they are, so a client
-    that stops reading holds at most one batch of replies.
+    that stops reading holds at most one batch of replies. A frame announced
+    as longer than ``request_size(spec.input_dims)``, the length of every
+    valid request, closes its connection at the prefix.
     """
 
     def __init__(self, spec: BackboneSpec, host: str = "127.0.0.1", port: int = 0):
         self.spec = _servable(spec)
+        self._frame_cap = request_size(self.spec.input_dims)
         self.socket = socket.create_server((host, port), backlog=_LISTEN_BACKLOG)
         self.socket.setblocking(False)
         self._wake, self._waker = socket.socketpair()  # stop() writes to the waker
@@ -442,7 +442,7 @@ class WorkerServer:
                     elif mask & selectors.EVENT_WRITE:
                         if not conn.flush(now):
                             self._drop(conns, conn)
-                    elif not conn.frames and not conn.receive(now):
+                    elif not conn.frames and not conn.receive(now, self._frame_cap):
                         self._drop(conns, conn)  # whole frames waiting are answered first
                 timeout = self._turn(conns, now)
         finally:
@@ -506,6 +506,7 @@ class WorkerServer:
         conns.discard(conn)
         self._selector.unregister(conn.sock)
         conn.sock.close()
+        conn.inbuf.clear()  # this turn's select events keep conn until the next select
 
 
 def worker_serve(spec: BackboneSpec, host: str, port: int) -> None:
@@ -527,11 +528,14 @@ def client_infer(x: np.ndarray, plan: QueryPlan, model) -> np.ndarray:
 
     Each replicate's fresh secret, kept only as a unit spectrum and zeroed on
     every exit, binds one request and unbinds its reply. Bind, unbind and the
-    head each run once on all k; the k requests go one at a time.
+    head each run once on all k; the k requests go one at a time. An input
+    of another shape than the model's is refused before any draw or send.
     """
     from .trainer import _head_forward  # heads live with the trainer
 
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != model.input_dims:
+        raise ShapeError(f"input dims {x.shape} != model input {model.input_dims}")
     dims, rank, k = x.shape, x.ndim, plan.k
     base_ids, rng = plan.rng.integers(1, 2 ** 32, 1)
     spectra, rng = sample_secret_spectra(dims, k, rng)

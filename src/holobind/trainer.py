@@ -138,10 +138,6 @@ class ToyModel:
     input_dims: tuple
     seed: int
 
-    def copy(self) -> "ToyModel":
-        return ToyModel({k: v.copy() for k, v in self.params.items()},
-                        self.n_classes, self.input_dims, self.seed)
-
     @property
     def backbone(self) -> BackboneSpec:
         """The backbone as a spec over the current conv kernels."""

@@ -34,7 +34,7 @@ from holobind.backbone import (
 )
 from holobind.errors import ProtocolError, RemoteFailureError, SpecError
 from holobind.protocol import STATUS_OK, BoundRequest, decode_response, encode_request
-from holobind.trainer import _head_forward
+from holobind.trainer import ToyModel, _head_forward
 from holobind.tensor import RngStream
 from holobind.vsa import (
     Bundle,
@@ -241,6 +241,12 @@ def reference_kernel_grad_magnitudes(params, cache, grad_r, alpha=0.1):
     gh1 = leaky_relu_backward(h1, circconv_backward(params["conv2"], a1, gh2)[1], alpha)
     gk1 = circconv_backward(params["conv1"], np.abs(xb), np.abs(gh1))[0]
     return gk1, gk2, gk3
+
+
+def copy_model(model: ToyModel) -> ToyModel:
+    """A model with the same settings and its own copy of every parameter."""
+    return ToyModel({k: v.copy() for k, v in model.params.items()},
+                    model.n_classes, model.input_dims, model.seed)
 
 
 def identity_spec(dims) -> BackboneSpec:

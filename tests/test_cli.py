@@ -231,6 +231,26 @@ def test_malformed_numbers_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-secret", "--dims", "100000x100000x100000"],
+    ["gen-secret", "--dims", "99999999999999999999"],
+    ["gen-secret", "--dims", "4294967295x4294967295x4294967295"],
+    ["probe", "--d", "1000000000000", "--kmax", "1"],
+    ["probe", "--d", "1000000000000000000", "--kmax", "1"],
+], ids=["dims_7_PiB", "extent_over_u32", "dims_over_numpy_index", "probe_1_PiB",
+        "probe_over_numpy_index"])
+def test_sizes_no_array_can_hold_exit_1(tmp_path, capsys, argv):
+    # Each size is refused before any allocation, or asks for over 1 PiB,
+    # beyond the 128-TiB user address space, so no run touches memory.
+    out = tmp_path / "s.hbt"
+    if argv[0] == "gen-secret":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fault", ["truncated", "wrong_shape_p_w1"])
 def test_malformed_model_file_exits_1(tmp_path, capsys, fault):
     model_path = tmp_path / "toy.model"

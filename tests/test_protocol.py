@@ -179,9 +179,12 @@ def test_handler_and_worker_survive_a_container_with_more_dims_than_numpy_has():
     resp = decode_response(handle_request_bytes(spec, msg))
     assert resp.status == STATUS_MALFORMED and resp.request_id == 41
     valid = encode_request(BoundRequest(42, _f32(np.ones((2, 2, 1)))))
-    with WorkerServer(spec) as server, TcpTransport(*server.address) as transport:
-        assert decode_response(transport.request(msg)).status == STATUS_MALFORMED
-        assert decode_response(transport.request(valid)).status == STATUS_OK
+    assert len(msg) > request_size(spec.input_dims)  # the worker refuses it at the header
+    with WorkerServer(spec) as server:
+        with TcpTransport(*server.address) as transport, pytest.raises(TransportError):
+            transport.request(msg)  # a closed or reset connection
+        with TcpTransport(*server.address) as transport:
+            assert decode_response(transport.request(valid)).status == STATUS_OK
 
 
 def test_handler_apply_failure_status():
@@ -369,6 +372,17 @@ def test_client_surfaces_remote_failure():
     assert err.value.status == STATUS_APPLY_ERROR
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 1), (32, 32, 1), (16, 16)])
+def test_client_refuses_an_input_of_another_shape_before_drawing_a_secret(monkeypatch, shape):
+    monkeypatch.setattr(protocol, "sample_secret_spectra",
+                        lambda *args: pytest.fail("a secret was drawn"))
+    recorder = TranscriptRecorder(LoopbackTransport(identity_spec((16, 16, 1))))
+    plan = QueryPlan(2, RngStream(25), recorder)
+    with pytest.raises(ShapeError, match=r"\(16, 16, 1\)"):
+        client_infer(np.ones(shape), plan, init_toy_model(7))
+    assert recorder.sent == [] and plan.rng == RngStream(25)
+
+
 @pytest.mark.parametrize("fault", ["id", "dims"])
 def test_client_refuses_a_reply_that_does_not_match_its_request(fault):
     # the second of three replies echoes the wrong id or carries other dims
@@ -544,16 +558,11 @@ def test_tcp_connect_failure_is_transport_error():
 
 
 def test_oversized_frame_rejected():
-    import socket as socket_mod
-    import struct as struct_mod
-
-    from holobind.protocol import MAX_FRAME_BYTES, _read_frame
-
-    a, b = socket_mod.socketpair()
+    a, b = socket.socketpair()
     try:
-        a.sendall(struct_mod.pack("<I", MAX_FRAME_BYTES + 1))
+        a.sendall(struct.pack("<I", 1061))
         with pytest.raises(TransportError, match="cap"):
-            _read_frame(b.makefile("rb"))
+            _read_frame(b.makefile("rb"), limit=1060)
     finally:
         a.close()
         b.close()
@@ -575,11 +584,11 @@ def test_client_refuses_a_reply_longer_than_its_request_before_reading_it():
     listener = socket.create_server(("127.0.0.1", 0))
     release = threading.Event()
 
-    def announce_and_hold():  # announce a reply just under the cap, send none of it
+    def announce_and_hold():  # announce a reply one byte over the request, send none of it
         conn, _ = listener.accept()
         with conn, conn.makefile("rb") as rfile:
-            _read_frame(rfile)
-            conn.sendall(struct.pack("<I", protocol.MAX_FRAME_BYTES - 1))
+            _read_frame(rfile, len(_ONES_REQUEST))
+            conn.sendall(struct.pack("<I", len(_ONES_REQUEST) + 1))
             release.wait(10.0)
 
     peer = threading.Thread(target=announce_and_hold, daemon=True)
@@ -647,7 +656,8 @@ def test_stop_returns_promptly_and_leaves_no_server_thread(case):
     if case == "client_mid_frame":
         client = socket.create_connection(server.address, timeout=5.0)
         client.sendall(_frame(_ONES_REQUEST))
-        assert decode_response(_read_frame(client.makefile("rb"))).status == STATUS_OK
+        reply = _read_frame(client.makefile("rb"), request_size((4, 4, 1)))
+        assert decode_response(reply).status == STATUS_OK
         client.sendall(struct.pack("<I", 100) + b"\x01" * 10)
     stopper = threading.Thread(target=server.stop, daemon=True)
     start = time.monotonic()
@@ -698,20 +708,27 @@ _request_bodies = st.one_of(
 
 def test_fuzzed_frames_never_break_the_worker():
     spec = identity_spec((4, 4, 1))
+    cap = request_size(spec.input_dims)
     with WorkerServer(spec) as server:
 
         @settings(max_examples=30, deadline=None)
         @given(st.lists(_request_bodies, max_size=4), st.binary(max_size=8))
         def exchange(bodies, tail):
-            with socket.create_connection(server.address, timeout=5.0) as sock:
-                rfile = sock.makefile("rb")
+            # the reader is closed on any exit, so a failing example closes its socket
+            with socket.create_connection(server.address, timeout=5.0) as sock, \
+                    sock.makefile("rb") as rfile:
                 for body in bodies:
+                    if len(body) > cap:  # refused at the header: the worker closes
+                        with contextlib.suppress(OSError):  # it may close mid-send
+                            sock.sendall(_frame(body))
+                        assert _closed_by_peer(sock, 5.0)
+                        break
                     sock.sendall(_frame(body))
-                    reply = _read_frame(rfile)
+                    reply = _read_frame(rfile, cap)
                     assert decode_response(reply).status in (0, 1, 2)
                     assert reply == handle_request_batch(spec, [body])[0]
-                sock.sendall(tail)  # a partial or oversized frame, then a hang-up
-                rfile.close()
+                else:
+                    sock.sendall(tail)  # a partial or oversized frame, then a hang-up
 
         exchange()
         assert server._loop.is_alive()
@@ -731,6 +748,39 @@ def _closed_by_peer(sock, timeout):
         return sock.recv(1) == b""
     except ConnectionResetError:
         return True
+
+
+def test_a_frame_longer_than_the_request_size_is_refused_at_its_header():
+    with WorkerServer(identity_spec((4, 4, 1))) as server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(struct.pack("<I", request_size((4, 4, 1)) + 1))  # and no body
+            assert _closed_by_peer(sock, 1.0)  # not at the idle deadline
+        with TcpTransport(*server.address) as transport:
+            assert decode_response(transport.request(_ONES_REQUEST)).status == STATUS_OK
+
+
+def test_every_connection_mid_way_through_a_huge_frame_holds_no_buffer():
+    import tracemalloc
+
+    start = struct.pack("<I", 60 << 20) + b"\x01" * (1 << 20)  # 1 MiB of a 60-MiB frame
+    with WorkerServer(identity_spec((4, 4, 1))) as server:
+        socks = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(protocol.MAX_CONNECTIONS):
+                socks.append(socket.create_connection(server.address, timeout=5.0))
+                with contextlib.suppress(OSError):  # the worker may close mid-send
+                    socks[-1].sendall(start)
+            assert all(_closed_by_peer(sock, 5.0) for sock in socks)
+            grown = tracemalloc.get_traced_memory()[1] - base  # the peak since the first
+        finally:
+            tracemalloc.stop()
+            for sock in socks:
+                sock.close()
+        assert grown < 4 << 20
+        with TcpTransport(*server.address) as transport:
+            assert decode_response(transport.request(_ONES_REQUEST)).status == STATUS_OK
 
 
 def test_trickling_sender_is_dropped_at_the_frame_deadline(monkeypatch):
@@ -816,7 +866,7 @@ def test_interleaved_frames_get_the_single_request_handlers_replies(monkeypatch)
                     sock.sendall(_frame(bodies[i]))
             for sock, bodies in zip(socks, streams):
                 rfile = sock.makefile("rb")
-                assert [_read_frame(rfile) for _ in bodies] == \
+                assert [_read_frame(rfile, request_size((8, 8, 1))) for _ in bodies] == \
                     [handle_request_batch(spec, [body])[0] for body in bodies]
                 rfile.close()
         finally:
@@ -843,7 +893,7 @@ def test_one_turn_hands_up_to_its_frame_cap_to_one_batch(monkeypatch):
         client.sendall(b"".join(_frame(body) for body in bodies))
         server.start()
         with client.makefile("rb") as rfile:
-            assert [_read_frame(rfile) for _ in bodies] == \
+            assert [_read_frame(rfile, request_size((4, 4, 1))) for _ in bodies] == \
                 [handle(server.spec, [body])[0] for body in bodies]
     finally:
         client.close()

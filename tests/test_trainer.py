@@ -35,6 +35,7 @@ from holobind.vsa import batch_bind, batch_unbind
 from oracles import (
     blocked_reference_backbone_backward,
     central_difference_at,
+    copy_model,
     reference_backbone_backward,
     reference_backbone_forward,
     reference_kernel_grad_magnitudes,
@@ -214,7 +215,7 @@ def test_full_graph_gradient_matches_finite_differences():
 
     def loss_for(name, adv_sign):
         def f(flat):
-            probe = model.copy()
+            probe = copy_model(model)
             probe.params[name] = flat.reshape(model.params[name].shape)
             pp, ap, _ = forward_batch(probe, x, spectra)
             return cross_entropy(pp, y) + adv_sign * cross_entropy(ap, y)
