@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecError, ShapeError
-from .tensor import RngStream
+from .tensor import MAX_EXTENT, RngStream
 
 LEAKY_ALPHA = 0.1  # negative slope of the toy backbone's and heads' leaky-relu
 
@@ -250,8 +250,8 @@ class BackboneSpec:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.input_dims)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise SpecError(f"input dims must be three positive extents, got {dims}")
+        if len(dims) != 3 or not all(1 <= d <= MAX_EXTENT for d in dims):
+            raise SpecError(f"input dims must be three extents from 1 to {MAX_EXTENT}, got {dims}")
         object.__setattr__(self, "input_dims", dims)
         for layer in self.layers:
             dims = layer.output_dims(dims)

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import altbind, attacks, backbone, protocol, trainer, vsa
 from .errors import HolobindError, ParameterError
-from .tensor import RngStream, read_tensor, write_tensor
+from .tensor import MAX_EXTENT, RngStream, read_tensor, write_tensor
 
 DEFAULT_DATA_SEED = 2  # committed synthetic-dataset seed
-_MAX_EXTENT = 0xFFFFFFFF  # a tensor container stores each extent as a u32
 _MAX_F64_VALUES = np.iinfo(np.intp).max // 8  # the most float64 values numpy can index
 
 
@@ -33,8 +32,8 @@ def _check_f64_values(count: int, what: str) -> None:
 
 def _parse_dims(text: str) -> tuple:
     dims = tuple(int(p) if p.isascii() and p.isdigit() else 0 for p in text.lower().split("x"))
-    if min(dims) < 1 or max(dims) > _MAX_EXTENT:
-        raise ParameterError(f"bad dims {text!r}, expected extents from 1 to {_MAX_EXTENT} "
+    if min(dims) < 1 or max(dims) > MAX_EXTENT:
+        raise ParameterError(f"bad dims {text!r}, expected extents from 1 to {MAX_EXTENT} "
                              "like 16x16x1")
     _check_f64_values(math.prod(dims), f"dims {text!r}")
     return dims

@@ -24,6 +24,7 @@ _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 _DTYPE_CODES = {"f32": DTYPE_F32, "f64": DTYPE_F64}
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+MAX_EXTENT = 0xFFFFFFFF  # a container stores each extent as a u32
 # One Philox generator per thread. Each draw sets its whole state first, so
 # no draw depends on what an earlier one left behind.
 _THREAD = threading.local()
@@ -152,8 +153,8 @@ def container_size(dims, dtype: str = "f64") -> int:
     code = _DTYPE_CODES.get(dtype)
     if code is None:
         raise ParameterError(f"unknown dtype {dtype!r}")
-    count = int(np.prod(np.asarray(dims, dtype=np.int64)))
-    return 4 + 1 + 1 + 4 * len(tuple(dims)) + count * _DTYPES[code].itemsize
+    dims = tuple(int(d) for d in dims)
+    return 4 + 1 + 1 + 4 * len(dims) + math.prod(dims) * _DTYPES[code].itemsize
 
 
 def write_tensor(t: np.ndarray, path) -> None:

@@ -7,10 +7,11 @@ own 2D transform; axes in front of an item are batch axes. A projected
 secret has unit spectral magnitude at every frequency, which makes
 unbinding exact rather than approximate.
 
-The bundle probe works on half spectra from the draw to the score: it
-draws the per-item loop's pairs at the same counters, takes one real
-transform per drawn batch and no inverse transform, and scores each pair
-by a Parseval cosine, so its rows equal that loop's within rounding.
+The bundle probe draws each pair once per seed: every bundle size reads
+the running bundle, and both modes read the same raw draws. It works on
+half spectra from the draw to the score, takes one real transform per
+drawn batch and no inverse transform, and scores each pair by a Parseval
+cosine, so its rows equal a per-item loop's within rounding.
 """
 
 from __future__ import annotations
@@ -251,8 +252,8 @@ def presence_probe(bundle: Bundle, y, x_candidate: np.ndarray) -> float:
     return cosine(unbind(bundle.tensor, y), x_candidate)
 
 
-# Counters per seed (a k-term probe draws 2k + 2) and bundle sizes per mode.
-_PROBE_BLOCK, _PROBE_SIZES = 4096, 64
+# Counters per seed: pair j at 2j and 2j + 1, the absent pair at the last two.
+_PROBE_BLOCK = 4096
 
 
 def _probe_dims(d: int):
@@ -266,58 +267,60 @@ def probe_curves(d: int, ks, n_seeds: int, seed: int,
                  modes=("projected", "naive")) -> list[dict]:
     """Monte-Carlo present/absent retrieval curves over bundle sizes.
 
-    For each seed and bundle size k, binds k random pairs, then probes one
-    present pair and one fresh absent pair. Perfect-square d runs the 2D
-    algebra on a sqrt(d) x sqrt(d) grid, other d fall back to 1D. Returns
-    one row per (k, mode) with mean/std of both scores, ready for CSV.
-
-    All seeds of one (mode, k) run as one batch in the half spectrum. The
-    pairs are those a per-item loop over ``bundle_add`` and
-    ``presence_probe`` draws, at the same counters. Each drawn batch takes
-    one real transform, the bundle sums X_j * Y_j with no inverse
-    transform, and each score is a Parseval cosine, so the rows equal that
-    loop's within rounding. A seed owns 4096 counters and a mode 64 bundle
-    sizes, so k >= 2048 or more than 64 sizes raise ParameterError.
+    Each seed draws pairs 0 .. max(ks)-1 and one absent pair, once. The
+    k-row probes the bundle of the first k pairs with pair 0 and with the
+    absent pair. Naive binds the raw draws and projected their unit
+    spectra, so the two modes are paired. Pair j of seed i sits at counters
+    i*4096 + 2j and + 1, the absent pair at the block's last two, so a row
+    depends only on (d, seed, n_seeds, mode, k), and k >= 2048 raises
+    ParameterError. Perfect-square d runs the 2D algebra on a sqrt(d) x
+    sqrt(d) grid, other d the 1D one. Returns one row per (mode, k),
+    mode-major in ``ks`` order, with mean/std of both scores, ready for CSV.
+    All seeds run as one batch in the half spectrum, so the rows equal a
+    per-item loop over ``bundle_add`` and ``presence_probe`` within rounding.
     """
     ks = [int(k) for k in ks]
     if d < 1 or n_seeds < 1:
         raise ParameterError(f"probe needs d >= 1 and n_seeds >= 1, got {d} and {n_seeds}")
     if not ks or min(ks) < 1:
         raise ParameterError(f"probe needs at least one bundle size, each >= 1, got {ks}")
-    if max(ks) >= _PROBE_BLOCK // 2 or len(ks) > _PROBE_SIZES:
+    if max(ks) >= _PROBE_BLOCK // 2:
         raise ParameterError(
-            f"probe takes at most {_PROBE_SIZES} bundle sizes, each below "
-            f"{_PROBE_BLOCK // 2}, got {len(ks)} up to {max(ks)}")
-    dims = _probe_dims(int(d))
-    var = 1.0 / int(d)
-    rows = []
-    for mode_idx, mode in enumerate(modes):
+            f"probe bundle sizes must be below {_PROBE_BLOCK // 2}, got {max(ks)}")
+    for mode in modes:
         if mode not in ("projected", "naive"):
             raise ParameterError(f"unknown probe mode {mode!r}")
-        projected = mode == "projected"
-        for k_idx, k in enumerate(ks):
-            # Disjoint counter blocks keep every (mode, k, seed) draw
-            # independent and reproducible: pair j of a seed's bundle is
-            # drawn at base + 2j and base + 2j + 1, the absent pair after.
-            bases = (((mode_idx * _PROBE_SIZES + k_idx) * n_seeds + np.arange(n_seeds))
-                     * _PROBE_BLOCK)
-            first = _draw_probe_pairs(dims, var, projected, seed, bases)
-            bundle = first[0] * first[1]
-            for j in range(1, k):
-                x, y = _draw_probe_pairs(dims, var, projected, seed, bases + 2 * j)
-                bundle += x * y
-            present = _half_cosines(bundle, *first, dims)
-            absent = _half_cosines(bundle, *_draw_probe_pairs(
-                dims, var, projected, seed, bases + 2 * k), dims)
-            rows.append({
-                "k": k,
-                "mode": mode,
-                "present_mean": float(np.mean(present)),
-                "absent_mean": float(np.mean(absent)),
-                "present_std": float(np.std(present)),
-                "absent_std": float(np.std(absent)),
-            })
-    return rows
+    dims = _probe_dims(int(d))
+    var = 1.0 / int(d)
+
+    def draw(offset):
+        """{mode: (X, Y)}: the half spectra of every seed's pair at ``offset``."""
+        raw = np.empty((2, n_seeds) + dims)
+        for i in range(n_seeds):
+            raw[0, i], successor = RngStream(seed, i * _PROBE_BLOCK + offset).normal(dims, var)
+            raw[1, i], _ = successor.normal(dims, var)
+        x, y = _half_spectrum(raw, len(dims))
+        # Projecting the half spectrum checks every frequency: each bin
+        # left out is the conjugate of a kept one, with the same magnitude.
+        return {mode: (unit_spectrum(x), unit_spectrum(y)) if mode == "projected" else (x, y)
+                for mode in modes}
+
+    first, absent = draw(0), draw(_PROBE_BLOCK - 2)
+    bundles = dict.fromkeys(modes, 0.0)
+    stats = {}
+    for j in range(max(ks)):
+        for mode, (x, y) in (draw(2 * j) if j else first).items():
+            bundles[mode] += x * y
+            if j + 1 in ks:
+                present = _half_cosines(bundles[mode], *first[mode], dims)
+                missing = _half_cosines(bundles[mode], *absent[mode], dims)
+                stats[mode, j + 1] = {
+                    "present_mean": float(np.mean(present)),
+                    "absent_mean": float(np.mean(missing)),
+                    "present_std": float(np.std(present)),
+                    "absent_std": float(np.std(missing)),
+                }
+    return [{"k": k, "mode": mode, **stats[mode, k]} for mode in modes for k in ks]
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,22 +329,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # in place, and with fused multiply-adds a complex product is not
     # bitwise commutative.
     return np.multiply(a, b, out=np.empty_like(a))
-
-
-def _draw_probe_pairs(dims, var, projected, seed, counters):
-    """Half spectra (X, Y) for a batch: x drawn at each counter, y at the next.
-
-    Projecting the half spectrum checks every frequency: each bin left out
-    is the conjugate of a kept one, with the same magnitude.
-    """
-    raw = np.empty((2, len(counters)) + dims)
-    for i, counter in enumerate(counters):
-        raw[0, i], successor = RngStream(seed, int(counter)).normal(dims, var)
-        raw[1, i], _ = successor.normal(dims, var)
-    spec = _half_spectrum(raw, len(dims))
-    if projected:
-        spec = unit_spectrum(spec)
-    return spec[0], spec[1]
 
 
 def _half_cosines(b, x, y, dims) -> np.ndarray:

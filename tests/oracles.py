@@ -387,31 +387,29 @@ def spectrum_inversion(bound, reference, steps, lr, rng):
 
 def per_item_probe_curves(d, ks, n_seeds, seed, modes=("projected", "naive")):
     """``probe_curves`` one seed at a time through ``bundle_add`` and
-    ``presence_probe``: the earlier probe loop, with the same counters."""
+    ``presence_probe``, at the same counters: pair j of seed i at
+    i*4096 + 2j and + 1, the absent pair at i*4096 + 4094 and + 4095."""
     dims = _probe_dims(int(d))
     var = 1.0 / int(d)
 
-    def draw(projected, rng):
-        raw, successor = rng.normal(dims, var)
-        return (project(raw) if projected else raw), successor
+    def pair(projected, counter):
+        x, rng = RngStream(seed, counter).normal(dims, var)
+        y, _ = rng.normal(dims, var)
+        return (project(x), project(y)) if projected else (x, y)
 
     rows = []
-    for mode_idx, mode in enumerate(modes):
+    for mode in modes:
         projected = mode == "projected"
-        for k_idx, k in enumerate(ks):
+        for k in ks:
             present, absent = [], []
             for i in range(n_seeds):
-                rng = RngStream(seed, counter=((mode_idx * 64 + k_idx) * n_seeds + i) * 4096)
                 bundle = Bundle.empty(dims)
-                pairs = []
-                for _ in range(k + 1):  # k bound pairs, then the absent pair
-                    x, rng = draw(projected, rng)
-                    y, rng = draw(projected, rng)
-                    pairs.append((x, y))
-                    if len(pairs) <= k:
-                        bundle = bundle_add(bundle, *pairs[-1])
-                present.append(presence_probe(bundle, pairs[0][1], pairs[0][0]))
-                absent.append(presence_probe(bundle, pairs[-1][1], pairs[-1][0]))
+                for j in range(k):
+                    bundle = bundle_add(bundle, *pair(projected, i * 4096 + 2 * j))
+                x, y = pair(projected, i * 4096)
+                present.append(presence_probe(bundle, y, x))
+                x, y = pair(projected, i * 4096 + 4094)
+                absent.append(presence_probe(bundle, y, x))
             rows.append({
                 "k": int(k),
                 "mode": mode,

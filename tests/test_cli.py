@@ -322,6 +322,30 @@ def test_bench_refuses_a_spec_the_worker_refuses(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extents, size", [
+    ("4294967295 4294967295 1", 18 + 18 + 4 * 4294967295 ** 2),
+    ("2097152 2097152 2097152", 18 + 18 + 4 * 2 ** 63),
+], ids=["u32_extents", "2_pow_63_values"])
+def test_bench_counts_the_bytes_of_a_spec_past_int64(tmp_path, extents, size):
+    # The message holds an envelope, the container header and f32 values.
+    spec_path = tmp_path / "big.spec"
+    spec_path.write_text(f"input {extents}\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert int(row["bytes_up"]) == int(row["bytes_down"]) == size
+
+
+def test_bench_refuses_an_input_extent_over_u32(tmp_path, capsys):
+    spec_path = tmp_path / "huge.spec"
+    spec_path.write_text("input 4294967296 4294967296 4294967296\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error:") and err.count("\n") == 1 and "4294967295" in err
+
+
 @pytest.mark.parametrize("command", [["serve", "--listen", "127.0.0.1:0"],
                                      ["bench", "--out", "bench.csv"]])
 def test_a_dense_line_is_an_unknown_layer_kind(tmp_path, capsys, monkeypatch, command):

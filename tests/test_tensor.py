@@ -207,6 +207,12 @@ def test_container_size_matches_encoding():
     assert container_size((16, 16, 1), "f32") == 4 + 1 + 1 + 12 + 1024
 
 
+def test_container_size_past_int64_is_exact():
+    dims = (2 ** 21, 2 ** 21, 2 ** 21)  # 2**63 values, past int64's range
+    assert container_size(dims, "f64") == 4 + 1 + 1 + 12 + 8 * 2 ** 63
+    assert container_size(np.array(dims), "f32") == 4 + 1 + 1 + 12 + 4 * 2 ** 63
+
+
 def test_container_truncation_reports_lengths():
     data = tensor_to_bytes(np.ones((2, 2)))
     with pytest.raises(FormatError) as err:

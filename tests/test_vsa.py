@@ -403,15 +403,37 @@ def test_half_spectrum_cosines_equal_time_domain_cosines(dims):
 
 
 def test_probe_curves_refuse_overlapping_counter_blocks():
-    # A seed owns 4096 counters and a k-term probe draws 2k + 2 of them, so
-    # k = 2048 would take the next seed's first pair as its absent pair.
+    # A seed owns 4096 counters: pair j at 2j and 2j + 1, the absent pair at
+    # 4094 and 4095, so k = 2048 would draw its last pair on the absent one.
     probe_curves(d=4, ks=(2047,), n_seeds=2, seed=0, modes=("naive",))
     with pytest.raises(ParameterError):
         probe_curves(d=4, ks=(2048,), n_seeds=2, seed=0)
-    # A mode owns 64 bundle sizes; a 65th would draw in the next mode's block.
-    probe_curves(d=4, ks=range(1, 65), n_seeds=1, seed=0, modes=("projected",))
+    # Bundle sizes own no counters, so any number of them runs.
+    rows = probe_curves(d=4, ks=range(1, 66), n_seeds=1, seed=0)
+    assert [r["k"] for r in rows] == list(range(1, 66)) * 2
+
+
+def test_probe_rows_depend_only_on_mode_and_k():
+    alone = probe_curves(d=64, ks=(4,), n_seeds=5, seed=3, modes=("naive",))
+    among = probe_curves(d=64, ks=(1, 2, 4), n_seeds=5, seed=3)
+    assert alone == [r for r in among if (r["mode"], r["k"]) == ("naive", 4)]
+
+
+def test_probe_curves_draw_each_pair_once(monkeypatch):
+    draws = []
+    normal = RngStream.normal
+
+    def counted(self, *args):
+        draws.append(self.counter)
+        return normal(self, *args)
+
+    monkeypatch.setattr(RngStream, "normal", counted)
     with pytest.raises(ParameterError):
-        probe_curves(d=4, ks=range(1, 66), n_seeds=1, seed=0)
+        probe_curves(d=16, ks=(1,), n_seeds=3, seed=0, modes=("naive", "psychic"))
+    assert draws == []  # every mode is checked before the first draw
+    probe_curves(d=16, ks=(1, 2, 4, 8), n_seeds=3, seed=0)
+    # per seed: the 8 pairs of the largest bundle and the absent pair
+    assert len(draws) == len(set(draws)) == 3 * (2 * 8 + 2)
 
 
 def test_probe_curves_zero_bundle_raises():
