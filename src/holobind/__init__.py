@@ -5,7 +5,6 @@ attack suite that audits the obfuscation."""
 from .errors import HolobindError
 from .tensor import RngStream, read_tensor, write_tensor
 from .vsa import (
-    Bundle,
     Secret,
     bind,
     bundle_add,
@@ -23,7 +22,6 @@ __all__ = [
     "read_tensor",
     "write_tensor",
     "Secret",
-    "Bundle",
     "bind",
     "unbind",
     "inverse",

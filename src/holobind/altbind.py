@@ -32,64 +32,51 @@ def _square_side(d: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class VtbSecret:
-    """Secret vector for VTB binding; ``orthogonal`` marks the iVTB variant."""
-
-    vector: np.ndarray
-    orthogonal: bool = False
-
-    def __post_init__(self):
-        if self.orthogonal:
-            block = self.block
-            if np.max(np.abs(block.T @ block - np.eye(block.shape[0]))) > 1e-9:
-                raise ParameterError("secret block is not orthogonal; not an ivtb secret")
-
-    @property
-    def block(self) -> np.ndarray:
-        d = self.vector.size
-        m = _square_side(d)
-        return d ** 0.25 * self.vector.reshape(m, m)
+def vtb_block(key: np.ndarray) -> np.ndarray:
+    """The VTB key vector reshaped to its m x m block and scaled by d^(1/4)."""
+    m = _square_side(key.size)
+    return key.size ** 0.25 * key.reshape(m, m)
 
 
-def vtb_secret(d: int, rng: RngStream) -> tuple[VtbSecret, RngStream]:
-    """Plain VTB secret: N(0, 1/d) vector whose scaled block is only
+def vtb_secret(d: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
+    """Plain VTB key: N(0, 1/d) vector whose scaled block is only
     approximately orthogonal."""
     _square_side(d)
-    vec, rng = rng.normal([d], 1.0 / d)
-    return VtbSecret(vec, orthogonal=False), rng
+    return rng.normal([d], 1.0 / d)
 
 
-def ivtb_secret(d: int, rng: RngStream) -> tuple[VtbSecret, RngStream]:
-    """Improved VTB secret: block is the orthogonal factor of a Gaussian QR.
+def ivtb_secret(d: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
+    """Improved VTB key: block is the orthogonal factor of a Gaussian QR.
 
     The R factor's diagonal is forced positive so the factorization (and
-    hence the secret) is unique and platform-stable.
+    hence the key) is unique and platform-stable.
     """
     m = _square_side(d)
     raw, rng = rng.normal([m, m], 1.0)
     q, r = np.linalg.qr(raw)
     signs = np.where(np.diag(r) >= 0, 1.0, -1.0)
     q = q * signs
-    return VtbSecret((d ** -0.25) * q.reshape(-1), orthogonal=True), rng
+    return (d ** -0.25) * q.reshape(-1), rng
 
 
-def vtb_bind(x: np.ndarray, y: VtbSecret) -> np.ndarray:
-    """Multiply each consecutive m-chunk of x by the secret block."""
+def _vtb_chunks(x: np.ndarray, key: np.ndarray, undo: bool) -> np.ndarray:
+    """Multiply each consecutive m-chunk of x by the key's block, or its transpose."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != y.vector.size:
-        raise ShapeError(f"vtb_bind expects a length-{y.vector.size} vector, got {x.shape}")
-    m = _square_side(x.size)
-    return (x.reshape(m, m) @ y.block.T).reshape(-1)
+    if x.ndim != 1 or x.size != np.size(key):
+        name = "vtb_unbind" if undo else "vtb_bind"
+        raise ShapeError(f"{name} expects a length-{np.size(key)} vector, got {x.shape}")
+    block = vtb_block(key)
+    return (x.reshape(block.shape) @ (block if undo else block.T)).reshape(-1)
 
 
-def vtb_unbind(z: np.ndarray, y: VtbSecret) -> np.ndarray:
-    """Apply the transposed block per chunk; exact for orthogonal secrets."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size != y.vector.size:
-        raise ShapeError(f"vtb_unbind expects a length-{y.vector.size} vector, got {z.shape}")
-    m = _square_side(z.size)
-    return (z.reshape(m, m) @ y.block).reshape(-1)
+def vtb_bind(x: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Multiply each consecutive m-chunk of x by the key's block."""
+    return _vtb_chunks(x, key, undo=False)
+
+
+def vtb_unbind(z: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Apply the transposed block per chunk; exact for an iVTB key."""
+    return _vtb_chunks(z, key, undo=True)
 
 
 # ------------------------------------------------------------- Hilbert curve
@@ -210,9 +197,7 @@ def operator_secret(op: str, dims, rng: RngStream) -> tuple[np.ndarray, RngStrea
     if op not in OPERATORS:
         raise ParameterError(f"unknown binding operator {op!r}")
     if op in ("vtb", "ivtb"):
-        maker = ivtb_secret if op == "ivtb" else vtb_secret
-        secret, rng = maker(int(np.prod(dims)), rng)
-        return secret.vector, rng
+        return (ivtb_secret if op == "ivtb" else vtb_secret)(int(np.prod(dims)), rng)
     if op == "hrr1d":
         dims = (int(np.prod(dims)),)
     elif op == "hilbert":
@@ -234,8 +219,12 @@ def operator_apply(op: str, x: np.ndarray, s, undo: bool = False, dims=None) -> 
     if op == "hrr1d":
         return (unbind if undo else bind)(x.reshape(-1), s.reshape(-1)).reshape(x.shape)
     if op in ("vtb", "ivtb"):
-        secret = VtbSecret(s.reshape(-1), orthogonal=op == "ivtb")
-        return (vtb_unbind if undo else vtb_bind)(x.reshape(-1), secret).reshape(x.shape)
+        key = s.reshape(-1)
+        if op == "ivtb":
+            block = vtb_block(key)
+            if np.max(np.abs(block.T @ block - np.eye(len(block)))) > 1e-9:
+                raise ParameterError("secret block is not orthogonal; not an ivtb secret")
+        return (vtb_unbind if undo else vtb_bind)(x.reshape(-1), key).reshape(x.shape)
     if op == "hilbert":
         if undo:
             return hilbert_hrr_unbind(x, s.reshape(-1), dims)

@@ -276,37 +276,24 @@ def strong_adversary(train_r, train_labels, test_r, test_labels, seed: int,
 # ----------------------------------------------------------------- inversion
 
 @dataclass(frozen=True)
-class PixelPca:
-    """Linear reduction of flattened pixels fitted on the adversary's data."""
+class ReferencePrior:
+    """What the adversary believes real inputs look like: a PCA of the
+    flattened pixels of its data, and the Gaussian statistics of the data's
+    coordinates ``(flat - center) @ components.T``."""
 
     center: np.ndarray
     components: np.ndarray  # (p, d)
-
-    def project(self, flat: np.ndarray) -> np.ndarray:
-        return (flat - self.center) @ self.components.T
+    stats: GaussianStats
 
 
-def fit_pixel_pca(images: np.ndarray, p: int) -> PixelPca:
+def build_reference(images: np.ndarray, p: int) -> ReferencePrior:
     flat = np.asarray(images, dtype=np.float64).reshape(len(images), -1)
     if p > min(flat.shape):
         raise ParameterError(f"cannot keep {p} components from data of shape {flat.shape}")
     center = flat.mean(axis=0)
     _, _, vt = np.linalg.svd(flat - center, full_matrices=False)
-    return PixelPca(center, vt[:p])
-
-
-@dataclass(frozen=True)
-class ReferencePrior:
-    """What the adversary believes real inputs look like."""
-
-    pca: PixelPca
-    stats: GaussianStats
-
-
-def build_reference(images: np.ndarray, p: int) -> ReferencePrior:
-    pca = fit_pixel_pca(images, p)
-    flat = np.asarray(images, dtype=np.float64).reshape(len(images), -1)
-    return ReferencePrior(pca, fit_gaussian_stats(pca.project(flat)))
+    components = vt[:p]
+    return ReferencePrior(center, components, fit_gaussian_stats((flat - center) @ components.T))
 
 
 @dataclass
@@ -327,13 +314,13 @@ def _inversion_objective(batch: np.ndarray, reference: ReferencePrior):
     component p. A step is two real products and one Frechet evaluation.
     """
     n, h, w = batch.shape
-    pca = reference.pca
-    if pca.components.shape[1] != h * w:
-        raise ShapeError(f"reference components of size {pca.components.shape[1]} "
+    components = reference.components
+    if components.shape[1] != h * w:
+        raise ShapeError(f"reference components of size {components.shape[1]} "
                          f"do not fit {h}x{w} bound tensors")
-    comps = spectrum(pca.components.reshape(-1, h, w), 2)
+    comps = spectrum(components.reshape(-1, h, w), 2)
     a = from_spectrum(np.conj(spectrum(batch, 2))[:, None] * comps, 2).reshape(-1, h * w)
-    offset = pca.center @ pca.components.T
+    offset = reference.center @ components.T
     ref = reference.stats
     ref_root = _psd_sqrt(ref.cov)
     identity = np.eye(len(ref.mean))
@@ -360,7 +347,10 @@ def inversion_attack(bound, reference: ReferencePrior, steps: int, lr: float,
     to unit spectral magnitude. ``lr`` is a step on the filter's spectrum,
     which the unnormalized transform makes h*w times a step on the filter.
     The analytic gradient is finite-difference checked once at the start.
+    ``steps`` of 0 scores the starting filter; a negative count is refused.
     """
+    if steps < 0:
+        raise ParameterError(f"inversion steps must be >= 0, got {steps}")
     batch = np.asarray(bound, dtype=np.float64)
     if batch.ndim == 4 and batch.shape[-1] == 1:
         batch = batch[..., 0]

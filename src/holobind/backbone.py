@@ -1,11 +1,12 @@
 """Worker-side tensor-to-tensor functions and their layer primitives.
 
-A backbone is a chain of layers with a validated shape chain; specs used in
-the split-inference protocol must preserve the input shape so the client's
-secret matches the output. Convolutions use circular padding throughout,
-which keeps every linear backbone inside the circulant algebra that binding
-relies on. Layers carry their forward and backward passes, so the toy trainer
-trains the same BackboneSpec a worker serves.
+A backbone is a chain of layers with a validated shape chain, and a chain
+of no layers is the identity backbone; specs used in the split-inference
+protocol must preserve the input shape so the client's secret matches the
+output. Convolutions use circular padding throughout, which keeps every
+linear backbone inside the circulant algebra that binding relies on. Layers
+carry their forward and backward passes, so the toy trainer trains the same
+BackboneSpec a worker serves.
 """
 
 from __future__ import annotations
@@ -175,24 +176,6 @@ def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float) -> np
 # layer's input gradient, which nothing uses, is never computed.
 
 @dataclass(frozen=True)
-class Identity:
-    def output_dims(self, dims):
-        return dims
-
-    def flops(self, dims):
-        return 0
-
-    def forward(self, t):
-        return t
-
-    def param_grad(self, t, grad_out):
-        return None
-
-    def input_grad(self, t, grad_out):
-        return grad_out
-
-
-@dataclass(frozen=True)
 class CircConv2d:
     kernel: np.ndarray
 
@@ -325,7 +308,7 @@ class BackboneSpec:
 # -------------------------------------------------------------- text format
 
 # values after the kind word on each line
-_ARITY = {"input": 3, "identity": 0, "circconv2d": 5, "pointwise": 2}
+_ARITY = {"input": 3, "circconv2d": 5, "pointwise": 2}
 
 
 def _integer(word: str, least: int = 1) -> int:
@@ -339,10 +322,11 @@ def parse_spec(text: str) -> BackboneSpec:
     """Parse the line-oriented spec format.
 
     First non-empty line: ``input H W D``; then one layer per line:
-    ``circconv2d kh kw cin cout seed`` | ``pointwise leaky_relu alpha`` |
-    ``identity``. Extents are positive integers, seeds non-negative ones
-    and alpha is finite; any other line is a SpecError. A ``#`` starts a
-    comment that runs to the end of its line, and blank lines are skipped.
+    ``circconv2d kh kw cin cout seed`` | ``pointwise leaky_relu alpha``;
+    with no layer lines the spec is the identity. Extents are positive
+    integers, seeds non-negative ones and alpha is finite; any other line
+    is a SpecError. A ``#`` starts a comment that runs to the end of its
+    line, and blank lines are skipped.
     Weights come deterministically from the per-layer seeds. Shape errors
     surface here, not at call time.
     """
@@ -360,8 +344,6 @@ def parse_spec(text: str) -> BackboneSpec:
                 raise ValueError(f"{kind} takes {_ARITY[kind]} values, got {len(args)}")
             if kind == "input":
                 input_dims = tuple(_integer(v) for v in args)
-            elif kind == "identity":
-                layers.append(Identity())
             elif kind == "pointwise":
                 if args[0] != "leaky_relu":
                     raise SpecError(f"unknown pointwise op {args[0]!r}")

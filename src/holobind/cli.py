@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import altbind, attacks, backbone, protocol, trainer, vsa
-from .errors import HolobindError, ParameterError
+from .errors import HolobindError, ParameterError, ShapeError
 from .tensor import MAX_EXTENT, RngStream, read_tensor, write_tensor
 
 DEFAULT_DATA_SEED = 2  # committed synthetic-dataset seed
@@ -157,6 +157,8 @@ def _cmd_attack(args):
     seed = _resolve_seed(args)
     model = trainer.load_model(args.model)
     data = trainer.synth_dataset(args.data_seed)
+    if model.input_dims != data.dims:
+        raise ShapeError(f"model input {model.input_dims} != dataset dims {data.dims}")
     k = data.n_classes
     if args.kind == "cluster":
         _, r, _, _ = trainer.worker_views(model, data.test_images,

@@ -7,11 +7,12 @@ own 2D transform; axes in front of an item are batch axes. A projected
 secret has unit spectral magnitude at every frequency, which makes
 unbinding exact rather than approximate.
 
-The bundle probe draws each pair once per seed: every bundle size reads
-the running bundle, and both modes read the same raw draws. It works on
-half spectra from the draw to the score, takes one real transform per
-drawn batch and no inverse transform, and scores each pair by a Parseval
-cosine, so its rows equal a per-item loop's within rounding.
+A bundle is a plain tensor, the sum of its bound pairs. The bundle probe
+draws each pair once per seed: every bundle size reads the running bundle,
+and both modes read the same raw draws. It works on half spectra from the
+draw to the score, takes one real transform per drawn batch and no inverse
+transform, and scores each pair by a Parseval cosine, so its rows equal a
+per-item loop's within rounding.
 """
 
 from __future__ import annotations
@@ -221,35 +222,21 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.vdot(a.ravel(), b.ravel()) / (na * nb), -1.0, 1.0))
 
 
-@dataclass
-class Bundle:
-    """Superposition of bound pairs; retrieval noise grows with term_count."""
-
-    tensor: np.ndarray
-    term_count: int = 0
-
-    @classmethod
-    def empty(cls, dims) -> "Bundle":
-        return cls(np.zeros(tuple(dims), dtype=np.float64), 0)
-
-
-def bundle_add(bundle: Bundle, x: np.ndarray, y) -> Bundle:  # perfbench wraps this
-    """Accumulate one bound pair into the bundle (pure; returns a new one)."""
+def bundle_add(bundle: np.ndarray, x: np.ndarray, y) -> np.ndarray:  # perfbench wraps this
+    """Add one bound pair to a bundle tensor, empty as ``np.zeros(dims)`` (pure)."""
     bound = bind(x, y)
-    if bundle.tensor.shape != bound.shape:
-        raise ShapeError(
-            f"bundle shape mismatch: {bundle.tensor.shape} vs {bound.shape}"
-        )
-    return Bundle(bundle.tensor + bound, bundle.term_count + 1)
+    if np.shape(bundle) != bound.shape:
+        raise ShapeError(f"bundle shape mismatch: {np.shape(bundle)} vs {bound.shape}")
+    return bundle + bound
 
 
-def presence_probe(bundle: Bundle, y, x_candidate: np.ndarray) -> float:
-    """Score whether the pair (x_candidate, y) is present in the bundle.
+def presence_probe(bundle: np.ndarray, y, x_candidate: np.ndarray) -> float:
+    """Score whether the pair (x_candidate, y) is present in the bundle tensor.
 
     Returns cosine(unbind(bundle, y), x_candidate): near 1 for the present
     pair of a single-term bundle, near 0 for absent pairs.
     """
-    return cosine(unbind(bundle.tensor, y), x_candidate)
+    return cosine(unbind(bundle, y), x_candidate)
 
 
 # Counters per seed: pair j at 2j and 2j + 1, the absent pair at the last two.

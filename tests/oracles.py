@@ -26,7 +26,6 @@ from holobind.backbone import (
     FORWARD_BLOCK,
     BackboneSpec,
     CircConv2d,
-    Identity,
     circconv_backward,
     circconv_forward,
     leaky_relu_backward,
@@ -37,7 +36,6 @@ from holobind.protocol import STATUS_OK, BoundRequest, decode_response, encode_r
 from holobind.trainer import ToyModel, _head_forward
 from holobind.tensor import RngStream
 from holobind.vsa import (
-    Bundle,
     _probe_dims,
     bind,
     bundle_add,
@@ -250,8 +248,8 @@ def copy_model(model: ToyModel) -> ToyModel:
 
 
 def identity_spec(dims) -> BackboneSpec:
-    """A one-layer backbone that returns its input."""
-    return BackboneSpec(tuple(dims), (Identity(),))
+    """The backbone of no layers, which returns its input."""
+    return BackboneSpec(tuple(dims), ())
 
 
 def linear_circconv_spec(dims, n_layers: int = 1, seed: int = 200) -> BackboneSpec:
@@ -270,14 +268,14 @@ def linear_circconv_commutation_check(spec: BackboneSpec, x: np.ndarray, s) -> f
     exactly; any nonlinearity voids the contract.
     """
     for layer in spec.layers:
-        ok = isinstance(layer, Identity) or (
+        ok = (
             isinstance(layer, CircConv2d)
             and layer.kernel.shape[2] == 1
             and layer.kernel.shape[3] == 1
         )
         if not ok:
             raise SpecError(
-                "commutation check requires only identity or 1-channel "
+                "commutation check requires only 1-channel "
                 f"circconv2d layers, found {type(layer).__name__}"
             )
     through_binding = unbind(spec(bind(x, s)), s)
@@ -357,9 +355,9 @@ def transform_inversion_objective(specs, reference):
 
     def score_and_grad(psi):
         u = from_spectrum(specs * psi, 2)
-        z = reference.pca.project(u.reshape(n, -1))
+        z = (u.reshape(n, -1) - reference.center) @ reference.components.T
         score, grad_z = two_pass_frechet_score_and_mean_grad(z, reference.stats)
-        grad_u = (grad_z @ reference.pca.components).reshape(n, h, w)
+        grad_u = (grad_z @ reference.components).reshape(n, h, w)
         grad_psi = np.sum(np.conj(specs) * spectrum(grad_u, 2), axis=0) / (h * w)
         return score, grad_psi
 
@@ -403,7 +401,7 @@ def per_item_probe_curves(d, ks, n_seeds, seed, modes=("projected", "naive")):
         for k in ks:
             present, absent = [], []
             for i in range(n_seeds):
-                bundle = Bundle.empty(dims)
+                bundle = np.zeros(dims)
                 for j in range(k):
                     bundle = bundle_add(bundle, *pair(projected, i * 4096 + 2 * j))
                 x, y = pair(projected, i * 4096)

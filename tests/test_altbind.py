@@ -4,7 +4,6 @@ import pytest
 from holobind import altbind
 from holobind.altbind import (
     OPERATORS,
-    VtbSecret,
     ablation_rows,
     hilbert_decode,
     hilbert_encode,
@@ -15,6 +14,7 @@ from holobind.altbind import (
     operator_apply,
     operator_secret,
     vtb_bind,
+    vtb_block,
     vtb_secret,
     vtb_unbind,
 )
@@ -32,14 +32,14 @@ from oracles import (
 # ----------------------------------------------------------------------- VTB
 
 def test_vtb_identity_block():
-    y = VtbSecret(4 ** -0.25 * np.eye(2).reshape(-1))
+    y = 4 ** -0.25 * np.eye(2).reshape(-1)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(vtb_bind(x, y), x, atol=1e-12)
     assert np.allclose(vtb_unbind(x, y), x, atol=1e-12)
 
 
 def test_vtb_permutation_block():
-    y = VtbSecret(4 ** -0.25 * np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(-1))
+    y = 4 ** -0.25 * np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(-1)
     z = vtb_bind(np.array([1.0, 2.0, 3.0, 4.0]), y)
     assert np.allclose(z, [2.0, 1.0, 4.0, 3.0], atol=1e-12)
 
@@ -50,7 +50,7 @@ def test_vtb_matches_dense_block_diagonal_oracle():
     x = np.random.default_rng(5).normal(size=d)
     dense = np.zeros((d, d))
     for j in range(m):
-        dense[j * m:(j + 1) * m, j * m:(j + 1) * m] = y.block
+        dense[j * m:(j + 1) * m, j * m:(j + 1) * m] = vtb_block(y)
     assert np.max(np.abs(vtb_bind(x, y) - dense @ x)) <= 1e-10
 
 
@@ -85,20 +85,19 @@ def test_plain_vtb_reconstruction_noisy_but_correlated():
 
 def test_ivtb_block_orthogonal():
     y, _ = ivtb_secret(4, RngStream(2))
-    assert y.orthogonal
-    assert np.max(np.abs(y.block.T @ y.block - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(vtb_block(y).T @ vtb_block(y) - np.eye(2))) <= 1e-12
 
 
 def test_ivtb_deterministic():
     a, _ = ivtb_secret(64, RngStream(9))
     b, _ = ivtb_secret(64, RngStream(9))
-    assert np.array_equal(a.vector, b.vector)
+    assert np.array_equal(a, b)
 
 
 def test_ivtb_determinant_is_unit():
     for seed in range(10):
         y, _ = ivtb_secret(64, RngStream(seed))
-        assert abs(abs(np.linalg.det(y.block)) - 1.0) <= 1e-9
+        assert abs(abs(np.linalg.det(vtb_block(y))) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [4, 16, 64, 256])
@@ -110,8 +109,10 @@ def test_ivtb_exact_round_trip(d):
 
 def test_ivtb_secret_refuses_a_block_that_is_not_orthogonal():
     plain, _ = vtb_secret(64, RngStream(4))
-    with pytest.raises(ParameterError, match="not orthogonal"):
-        VtbSecret(plain.vector, orthogonal=True)
+    x = np.random.default_rng(4).normal(size=(8, 8))
+    for undo in (False, True):
+        with pytest.raises(ParameterError, match="not orthogonal"):
+            operator_apply("ivtb", x, plain, undo=undo)
 
 
 def test_plain_vtb_error_exceeds_ivtb_on_matched_seeds():

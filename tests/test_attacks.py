@@ -8,7 +8,6 @@ from holobind.attacks import (
     build_reference,
     clustering_attack,
     fit_gaussian_stats,
-    fit_pixel_pca,
     frechet_distance,
     inversion_attack,
     kmeans,
@@ -233,6 +232,12 @@ def test_inversion_planted_solution_recovers():
     assert len(result.trajectory) == 26
 
 
+def test_inversion_refuses_a_negative_step_count():
+    _, _, bound, reference = _planted_setup(seed=16)
+    with pytest.raises(ParameterError, match="steps must be >= 0"):
+        inversion_attack(bound, reference, steps=-3, lr=0.05, rng=RngStream(17))
+
+
 def test_inversion_zero_steps_returns_initialization():
     images, secret, bound, reference = _planted_setup(seed=16)
     result = inversion_attack(bound, reference, steps=0, lr=0.05,
@@ -352,15 +357,16 @@ def test_regression_parameter_errors():
 
 def test_pixel_pca_projection_shape():
     images = np.random.default_rng(23).normal(size=(30, 6, 6))
-    pca = fit_pixel_pca(images, p=5)
-    z = pca.project(images.reshape(30, -1))
+    reference = build_reference(images, p=5)
+    z = (images.reshape(30, -1) - reference.center) @ reference.components.T
     assert z.shape == (30, 5)
-    assert pca.components.shape == (5, 36)
+    assert reference.center.shape == (36,) and reference.components.shape == (5, 36)
+    assert np.allclose(reference.stats.mean, z.mean(axis=0), rtol=0, atol=1e-12)
 
 
 def test_pixel_pca_rejects_excess_components():
     with pytest.raises(ParameterError):
-        fit_pixel_pca(np.ones((4, 3, 3)), p=8)
+        build_reference(np.ones((4, 3, 3)), p=8)
 
 
 def test_fit_gaussian_stats_needs_two_points():

@@ -11,7 +11,7 @@ from holobind.backbone import (
     FORWARD_BLOCK,
     BackboneSpec,
     CircConv2d,
-    Identity,
+    Pointwise,
     circconv_backward,
     circconv_forward,
     conv_chain,
@@ -335,6 +335,9 @@ def test_spec_shape_chain_validated_at_load():
         parse_spec("input 8 8 1\nwarp 1 2\n")
     with pytest.raises(SpecError, match="unknown layer kind 'dense'"):
         parse_spec("input 4 4 1\ndense 10 16 3\n")
+    # a spec with no layer lines is the identity backbone, not an identity line
+    with pytest.raises(SpecError, match="unknown layer kind 'identity'"):
+        parse_spec("input 4 4 1\nidentity\n")
     # a field that is not a positive integer (a seed may be 0), a line with
     # too many or too few words, and a non-finite alpha
     for line in ["input 16 a 1", "input 16 16 0", "input 16 16 1 2",
@@ -343,15 +346,16 @@ def test_spec_shape_chain_validated_at_load():
                  "input 16 16 1\ncircconv2d 3 3 1 1 1 extra",
                  "input 16 16 1\ncircconv2d 3 3 1 1 1.5", "input 16 16 1\npointwise leaky_relu",
                  "input 16 16 1\npointwise leaky_relu inf",
-                 "input 16 16 1\npointwise leaky_relu nan", "input 16 16 1\nidentity 1",
+                 "input 16 16 1\npointwise leaky_relu nan",
                  "input 16 16 1\ninput 16 16 1"]:
         with pytest.raises(SpecError):
             parse_spec(line + "\n")
     seeded_0 = parse_spec("input 4 4 1\ncircconv2d 3 3 1 1 0\n")
     assert np.array_equal(seeded_0.layers[0].kernel, CircConv2d.from_seed(3, 3, 1, 1, 0).kernel)
     # a comment runs from its '#' to the end of the line, wherever it starts
-    commented = parse_spec("# toy\ninput 4 4 1\n  # indented comment\nidentity  # trailing\n")
-    assert commented.input_dims == (4, 4, 1) and commented.layers == (Identity(),)
+    commented = parse_spec("# toy\ninput 4 4 1  # trailing\n  # indented comment\n"
+                           "pointwise leaky_relu 0.5  # trailing\n")
+    assert commented.input_dims == (4, 4, 1) and commented.layers == (Pointwise(0.5),)
 
 
 def test_spec_apply_rejects_wrong_input_dims():
@@ -360,10 +364,10 @@ def test_spec_apply_rejects_wrong_input_dims():
         spec(np.zeros((8, 8, 1)))
 
 
-# Every layer kind: identity; circconv2d with Cin below, equal to and above
-# Cout, and pointwise (the toy stack on two channels).
+# The empty chain; circconv2d with Cin below, equal to and above Cout, and
+# pointwise (the toy stack on two channels).
 LAYER_KIND_SPECS = {
-    "identity": "input 4 4 2\nidentity\n",
+    "identity": "input 4 4 2\n",
     "conv_pointwise": ("input 4 4 2\ncircconv2d 3 3 2 16 100\npointwise leaky_relu 0.1\n"
                        "circconv2d 3 3 16 16 101\npointwise leaky_relu 0.1\n"
                        "circconv2d 3 3 16 2 102\n"),
@@ -393,6 +397,9 @@ def test_forward_keeping_inputs_returns_each_full_batch_input(kind):
     spec = _kind_spec(kind)
     batch = np.random.default_rng(13).normal(size=(37,) + spec.input_dims)
     out, tape = spec.forward(batch, keep_inputs=True)
+    if not spec.layers:  # the empty chain keeps no inputs and returns the batch
+        assert tape == [[]] * len(range(0, 37, FORWARD_BLOCK)) and np.array_equal(out, batch)
+        return
     # 37 items run as blocks of FORWARD_BLOCK, the last one partial, and
     # each block's inputs, joined over the blocks, are the full-batch ones
     assert [len(inputs[0]) for inputs in tape] == \
@@ -477,13 +484,13 @@ def test_spec_forward_rejects_wrong_item_dims():
 
 def test_spec_backward_matches_finite_differences():
     spec = parse_spec("input 3 3 2\ncircconv2d 3 3 2 3 5\npointwise leaky_relu 0.1\n"
-                      "circconv2d 3 3 3 2 6\nidentity\n")
+                      "circconv2d 3 3 3 2 6\n")
     g = np.random.default_rng(14)
     batch = g.normal(size=(2, 3, 3, 2))
     up = g.normal(size=(2, 3, 3, 2))
     _, inputs = spec.forward(batch, keep_inputs=True)
     grads = spec.backward(inputs, up)
-    assert [grad is None for grad in grads] == [False, True, False, True]
+    assert [grad is None for grad in grads] == [False, True, False]
     for i, layer in enumerate(spec.layers):
         if grads[i] is None:
             continue
@@ -533,12 +540,12 @@ def test_flops_toy_fw():
 
 def test_count_flops_sums_each_layers_flops():
     spec = parse_spec("input 3 3 2\ncircconv2d 3 3 2 3 5\npointwise leaky_relu 0.1\n"
-                      "circconv2d 3 3 3 2 6\nidentity\n")
+                      "circconv2d 3 3 3 2 6\n")
     dims, per_layer = spec.input_dims, []
     for layer in spec.layers:
         per_layer.append(layer.flops(dims))
         dims = layer.output_dims(dims)
-    assert per_layer == [9 * 9 * 2 * 3, 0, 9 * 9 * 3 * 2, 0]
+    assert per_layer == [9 * 9 * 2 * 3, 0, 9 * 9 * 3 * 2]
     assert count_flops(spec) == sum(per_layer)
 
 

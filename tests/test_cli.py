@@ -159,7 +159,7 @@ def test_unknown_subcommand_is_usage_error():
     ["serve"],
 ], ids=["bench_dims", "gen_secret_op_hrr", "serve_spec_and_model", "serve_neither"])
 def test_removed_or_conflicting_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
-    (tmp_path / "id.spec").write_text("input 16 16 1\nidentity\n")
+    (tmp_path / "id.spec").write_text("input 16 16 1\n")
     save_model(init_toy_model(6), tmp_path / "toy.model")
     # a serve that got past the parser would block, so it fails the test instead
     monkeypatch.setattr(protocol, "worker_serve", lambda *args: pytest.fail("served"))
@@ -224,7 +224,7 @@ def test_missing_input_file_exits_1(tmp_path, capsys, option):
         "probe_kmax_2048", "bench_k_0"])
 def test_malformed_numbers_exit_1(tmp_path, capsys, argv):
     spec_path = tmp_path / "id.spec"
-    spec_path.write_text("input 16 16 1\nidentity\n")
+    spec_path.write_text("input 16 16 1\n")
     assert main([a.format(tmp=tmp_path, spec=spec_path) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -350,11 +350,24 @@ def test_bench_refuses_an_input_extent_over_u32(tmp_path, capsys):
                                      ["bench", "--out", "bench.csv"]])
 def test_a_dense_line_is_an_unknown_layer_kind(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
+    # a serve that got past the spec would block, so it fails the test instead
+    monkeypatch.setattr(protocol, "worker_serve", lambda *args: pytest.fail("served"))
     spec_path = tmp_path / "dense.spec"
-    spec_path.write_text("input 4 4 1\ndense 10 16 3\n")
-    assert main(command[:1] + ["--spec", str(spec_path)] + command[1:]) == 1
-    assert capsys.readouterr().err == "error: unknown layer kind 'dense'\n"
-    assert not (tmp_path / "bench.csv").exists()
+    # an identity line is refused the same way: a spec with no layer lines is the identity
+    for line, kind in [("dense 10 16 3", "dense"), ("identity", "identity")]:
+        spec_path.write_text(f"input 4 4 1\n{line}\n")
+        assert main(command[:1] + ["--spec", str(spec_path)] + command[1:]) == 1
+        assert capsys.readouterr().err == f"error: unknown layer kind '{kind}'\n"
+        assert not (tmp_path / "bench.csv").exists()
+
+
+def test_bench_counts_no_remote_flops_for_a_spec_with_no_layers(tmp_path):
+    spec_path = tmp_path / "empty.spec"
+    spec_path.write_text("input 16 16 1\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert int(row["remote_flops"]) == 0 and int(row["bytes_up"]) == 1060
 
 
 def test_bench_malformed_spec_file_exits_1_without_a_traceback(tmp_path):
@@ -429,6 +442,30 @@ def test_attack_invert_smoke(tmp_path):
     assert row["name"] == "invert"
     assert "recovery_cosine=" in row["params"]
     assert row["verdict"] in ("pass", "fail")
+
+
+def test_attack_refuses_a_model_of_other_input_dims(tmp_path, capsys):
+    # the audits run on the committed 16x16x1 dataset, so an 8x8x1 model is refused
+    model_path = tmp_path / "small.model"
+    save_model(init_toy_model(1, dims=(8, 8, 1)), model_path)
+    out = tmp_path / "report.csv"
+    for kind in ("cluster", "strong", "invert", "regress"):
+        assert main(["attack", "--kind", kind, "--model", str(model_path),
+                     "--out", str(out)]) == 1, kind
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err == "error: model input (8, 8, 1) != dataset dims (16, 16, 1)\n"
+
+
+def test_attack_invert_refuses_a_negative_step_count(tmp_path, capsys):
+    model_path = tmp_path / "toy.model"
+    save_model(init_toy_model(2), model_path)
+    out = tmp_path / "report.csv"
+    assert main(["attack", "--kind", "invert", "--model", str(model_path),
+                 "--steps", "-3", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err == "error: inversion steps must be >= 0, got -3\n"
 
 
 # -------------------------------------------------------------- serve/query

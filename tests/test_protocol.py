@@ -156,6 +156,14 @@ def test_handler_identity_echoes_payload():
     assert np.array_equal(resp.payload, payload)
 
 
+def test_a_spec_with_no_layer_lines_is_served_as_the_identity():
+    x = np.random.default_rng(6).normal(size=(4, 4, 2))
+    transport = LoopbackTransport(parse_spec("input 4 4 2\n"))
+    resp = decode_response(transport.request(encode_request(BoundRequest(7, x))))
+    assert resp.request_id == 7 and resp.status == STATUS_OK
+    assert np.array_equal(resp.payload, x.astype(np.float32))
+
+
 def test_handler_deterministic_bytes():
     payload = _f32(np.random.default_rng(4).normal(size=(16, 16, 1)))
     spec = toy_fw_spec()

@@ -11,7 +11,6 @@ from holobind.errors import (
 )
 from holobind.tensor import RngStream
 from holobind.vsa import (
-    Bundle,
     _half_cosines,
     _half_spectrum,
     batch_unbind,
@@ -304,9 +303,10 @@ def test_bundle_single_pair_equals_bind():
     g = np.random.default_rng(16)
     x = g.normal(size=(8, 8))
     y, _ = sample_secret((8, 8), RngStream(16))
-    b = bundle_add(Bundle.empty((8, 8)), x, y)
-    assert b.term_count == 1
-    assert np.array_equal(b.tensor, bind(x, y))
+    b = bundle_add(np.zeros((8, 8)), x, y)
+    assert np.array_equal(b, bind(x, y))
+    with pytest.raises(ShapeError, match="bundle shape mismatch"):
+        bundle_add(np.zeros((4, 4)), x, y)
 
 
 def test_bundle_order_independent():
@@ -317,14 +317,12 @@ def test_bundle_order_independent():
         x = g.normal(size=(8, 8))
         y, rng = sample_secret((8, 8), rng)
         pairs.append((x, y))
-    fwd = Bundle.empty((8, 8))
-    rev = Bundle.empty((8, 8))
+    fwd = rev = np.zeros((8, 8))
     for x, y in pairs:
         fwd = bundle_add(fwd, x, y)
     for x, y in reversed(pairs):
         rev = bundle_add(rev, x, y)
-    assert np.max(np.abs(fwd.tensor - rev.tensor)) <= 1e-10
-    assert fwd.term_count == rev.term_count == 3
+    assert np.max(np.abs(fwd - rev)) <= 1e-10
 
 
 # -------------------------------------------------------------------- probes
@@ -333,7 +331,7 @@ def test_presence_probe_single_pair_exact():
     g = np.random.default_rng(18)
     x = project(g.normal(size=(16, 16)))
     y, _ = sample_secret((16, 16), RngStream(18))
-    b = bundle_add(Bundle.empty((16, 16)), x, y)
+    b = bundle_add(np.zeros((16, 16)), x, y)
     assert presence_probe(b, y, x) >= 0.999
 
 
@@ -408,7 +406,7 @@ def test_probe_curves_refuse_overlapping_counter_blocks():
     probe_curves(d=4, ks=(2047,), n_seeds=2, seed=0, modes=("naive",))
     with pytest.raises(ParameterError):
         probe_curves(d=4, ks=(2048,), n_seeds=2, seed=0)
-    # Bundle sizes own no counters, so any number of them runs.
+    # The bundle sizes own no counters, so any number of them runs.
     rows = probe_curves(d=4, ks=range(1, 66), n_seeds=1, seed=0)
     assert [r["k"] for r in rows] == list(range(1, 66)) * 2
 
